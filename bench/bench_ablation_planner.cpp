@@ -3,9 +3,10 @@
 // measure", because Figures 7/8 show the count does not predict busyness).
 #include <cstdio>
 
+#include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "scan/channel_planner.hpp"
-#include "sim/world.hpp"
+#include "sim/fleet_runner.hpp"
 
 int main(int argc, char** argv) {
   using namespace wlm;
@@ -18,16 +19,17 @@ int main(int argc, char** argv) {
   config.fleet.network_count = networks;
   config.fleet.model = deploy::ApModel::kMr18;
   config.seed = 77;
-  sim::World world(config);
+  sim::FleetRunner runner(config);
+  Rng rng(config.seed);  // scan-window draws, independent of the shard streams
 
   const auto scanner = scan::default_mr18_scanner();
   RunningStats by_util;
   RunningStats by_count;
   RunningStats incumbent;
-  for (auto& ap : world.aps()) {
+  for (auto& ap : runner.aps()) {
     const auto env = ap.environment(14.0);
     auto activities = env.activities_all(phy::ChannelPlan::us(), 14.0);
-    auto results = scanner.scan_window(activities, phy::noise_floor(20.0), world.rng());
+    auto results = scanner.scan_window(activities, phy::noise_floor(20.0), rng);
 
     scan::PlannerPolicy util_policy;
     scan::PlannerPolicy count_policy;

@@ -2,13 +2,13 @@
 
 #include <sys/resource.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "ckpt/campaign.hpp"
+#include "cli/parse.hpp"
 
 namespace wlm::bench {
 
@@ -50,46 +50,13 @@ void write_bench_json() {
   std::fclose(out);
 }
 
-// Auto-checkpointing: with $WLM_CHECKPOINT_DIR set, every bench campaign
-// checkpoints itself at phase boundaries (throttled by
-// $WLM_CHECKPOINT_EVERY_SIM_HOURS, default: every boundary), so a killed
-// sweep resumes from <dir>/<bench>.wlmckpt instead of replaying from zero.
-// The save cost lands in the profiler under "checkpoint_save", so the
-// BENCH_*.json record shows what the insurance costs.
-void install_auto_checkpoint() {
-  const char* dir = std::getenv("WLM_CHECKPOINT_DIR");
-  if (dir == nullptr || *dir == '\0') return;
-  const char* every_env = std::getenv("WLM_CHECKPOINT_EVERY_SIM_HOURS");
-  const double every = every_env != nullptr ? std::atof(every_env) : 0.0;
-  std::string name = g_experiment;
-  for (auto& c : name) {
-    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '.';
-    if (!keep) c = '_';
-  }
-  const std::string path = std::string(dir) + "/" + name + ".wlmckpt";
-  sim::FleetRunner::set_campaign_phase_hook(
-      [path, every, last_runner = static_cast<sim::FleetRunner*>(nullptr),
-       progress = ckpt::CampaignProgress{}, last_hours = 0.0](
-          sim::FleetRunner& runner, const char* phase) mutable {
-        if (&runner != last_runner) {
-          // A new campaign started (bench binaries often run several);
-          // restart the progress record for it.
-          last_runner = &runner;
-          progress = {};
-          progress.label = g_experiment;
-          last_hours = 0.0;
-        }
-        progress.phases_done.emplace_back(phase);
-        if (every > 0.0 && runner.campaign_sim_hours() - last_hours < every) return;
-        const Timer timer("checkpoint_save");
-        if (const auto err = ckpt::save_campaign_file(path, runner, progress)) {
-          std::fprintf(stderr, "bench: checkpoint to %s failed: %s\n", path.c_str(),
-                       err.detail.c_str());
-          return;
-        }
-        last_hours = runner.campaign_sim_hours();
-      });
+/// Usage error on a bench argument: same contract as wlmctl's numeric
+/// flags (strict parse, exit 2), so a typo never runs a rescaled fleet.
+[[noreturn]] void reject_arg(const char* program, const char* name, const char* want,
+                             const char* got) {
+  std::fprintf(stderr, "%s: %s must be %s (got '%s')\n", program, name, want, got);
+  std::fprintf(stderr, "usage: %s [networks] [client_scale] [seed] [threads]\n", program);
+  std::exit(2);
 }
 
 }  // namespace
@@ -112,10 +79,28 @@ std::string rate_rss_fields(std::uint64_t work_items, double seconds) {
 analysis::ScenarioScale scale_from_args(int argc, char** argv, int default_networks) {
   analysis::ScenarioScale scale;
   scale.networks = default_networks;
-  if (argc > 1) scale.networks = std::atoi(argv[1]);
-  if (argc > 2) scale.client_scale = std::atof(argv[2]);
-  if (argc > 3) scale.seed = static_cast<std::uint64_t>(std::atoll(argv[3]));
-  if (argc > 4) scale.threads = std::atoi(argv[4]);
+  if (argc > 1) {
+    const auto networks = cli::parse_int(argv[1], 1, INT_MAX);
+    if (!networks) reject_arg(argv[0], "networks", "an integer >= 1", argv[1]);
+    scale.networks = static_cast<int>(*networks);
+  }
+  if (argc > 2) {
+    const auto client_scale = cli::parse_double(argv[2]);
+    if (!client_scale || *client_scale < 0.0) {
+      reject_arg(argv[0], "client_scale", "a number >= 0", argv[2]);
+    }
+    scale.client_scale = *client_scale;
+  }
+  if (argc > 3) {
+    const auto seed = cli::parse_int(argv[3]);
+    if (!seed) reject_arg(argv[0], "seed", "an integer", argv[3]);
+    scale.seed = static_cast<std::uint64_t>(*seed);
+  }
+  if (argc > 4) {
+    const auto threads = cli::parse_int(argv[4], 1, INT_MAX);
+    if (!threads) reject_arg(argv[0], "threads", "an integer >= 1", argv[4]);
+    scale.threads = static_cast<int>(*threads);
+  }
   return scale;
 }
 
@@ -132,7 +117,6 @@ void print_header(const char* experiment, const analysis::ScenarioScale& scale) 
   // hook runs; that late duplicate is never serialized.
   g_total.emplace("bench_total");
   std::atexit(write_bench_json);
-  install_auto_checkpoint();
 }
 
 }  // namespace wlm::bench

@@ -31,7 +31,9 @@ class Timer {
 
 /// Scale from argv: bench_x [networks] [client_scale] [seed] [threads].
 /// Benches default to a smaller fleet than the integration tests so that
-/// `for b in build/bench/*; do $b; done` finishes in minutes.
+/// `for b in build/bench/*; do $b; done` finishes in minutes. Arguments are
+/// parsed strictly (networks >= 1, client_scale >= 0, threads >= 1); a bad
+/// one prints a usage error and exits 2 before anything runs.
 [[nodiscard]] analysis::ScenarioScale scale_from_args(int argc, char** argv,
                                                       int default_networks = 250);
 
@@ -56,11 +58,6 @@ class Timer {
 /// build, each campaign, harvest drain/merge, plus any bench::Timer the
 /// binary ran), so a sweep over thread counts leaves a machine-readable
 /// trace of where the time went, not just how much there was.
-///
-/// Also arms auto-checkpointing: with $WLM_CHECKPOINT_DIR set, every
-/// campaign the bench runs writes <dir>/<bench>.wlmckpt at each phase
-/// boundary (throttle with $WLM_CHECKPOINT_EVERY_SIM_HOURS), and the save
-/// cost is profiled under "checkpoint_save".
 void print_header(const char* experiment, const analysis::ScenarioScale& scale);
 
 }  // namespace wlm::bench

@@ -7,7 +7,7 @@
 
 #include "backend/health.hpp"
 #include "backend/timeseries.hpp"
-#include "sim/world.hpp"
+#include "sim/fleet_runner.hpp"
 
 int main() {
   using namespace wlm;
@@ -27,20 +27,20 @@ int main() {
   config.faults.skyscraper_fraction = 0.05;
   config.faults.skyscraper_neighbors = 600;
   config.faults.oom_neighbor_threshold = 400;
-  sim::World world(config);
+  sim::FleetRunner runner(config);
 
-  world.run_usage_week(7);
-  world.run_mr16_interference(SimTime::epoch() + Duration::days(3));
+  runner.run_usage_week(7);
+  runner.run_mr16_interference(SimTime::epoch() + Duration::days(3));
   // Week-end harvest: APs still inside an open outage stay offline, which is
   // exactly what the dashboard should be alerting on.
-  world.harvest(sim::HarvestMode::kWeekEnd);
+  runner.harvest(sim::HarvestMode::kWeekEnd);
 
   // Feed per-AP neighbor counts into the time-series store (the dashboard's
   // backing data) and run the health analysis.
   backend::TimeSeriesStore tsdb;
   std::uint32_t outlier_ap = 0;
   std::size_t outlier_neighbors = 0;
-  world.reports().for_each([&](const wire::ApReport& report) {
+  runner.reports().for_each([&](const wire::ApReport& report) {
     tsdb.append(backend::SeriesKey{"neighbors", report.ap_id},
                 SimTime::from_micros(report.timestamp_us),
                 static_cast<double>(report.neighbors.size()));
@@ -54,8 +54,8 @@ int main() {
   backend::HealthPolicy policy;
   policy.expected_interval = Duration::days(1);
   const backend::HealthMonitor monitor(policy);
-  auto findings = monitor.analyze(world.reports(), SimTime::epoch() + Duration::days(7));
-  for (const auto& ap : world.aps()) {
+  auto findings = monitor.analyze(runner.reports(), SimTime::epoch() + Duration::days(7));
+  for (const auto& ap : runner.aps()) {
     const auto tunnel_findings = monitor.analyze_tunnel(ap.tunnel());
     findings.insert(findings.end(), tunnel_findings.begin(), tunnel_findings.end());
   }
@@ -63,7 +63,7 @@ int main() {
 
   // End-to-end loss accounting: every generated report lands in exactly one
   // bucket, so the operator can tell shed from lost from still-queued.
-  std::printf("\n%s\n", world.loss_ledger().render().c_str());
+  std::printf("\n%s\n", runner.loss_ledger().render().c_str());
 
   // The worst offender's neighbor series, downsampled for a dashboard panel.
   const auto buckets = tsdb.downsample(backend::SeriesKey{"neighbors", outlier_ap},

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "probe/link_table.hpp"
-#include "sim/world.hpp"
+#include "sim/fleet_runner.hpp"
 
 int main() {
   using namespace wlm;
@@ -13,23 +13,23 @@ int main() {
   config.fleet.epoch = deploy::Epoch::kJan2015;
   config.fleet.network_count = 30;
   config.seed = 7;
-  sim::World world(config);
-  if (world.mesh_links().empty()) {
+  sim::FleetRunner runner(config);
+  if (runner.mesh_links().empty()) {
     std::printf("no same-channel mesh links in this deployment\n");
     return 0;
   }
 
   // Watch up to four links across a week at 30-minute reporting cadence.
-  const std::size_t watched = std::min<std::size_t>(4, world.mesh_links().size());
+  const std::size_t watched = std::min<std::size_t>(4, runner.mesh_links().size());
   std::printf("monitoring %zu of %zu links, alert threshold 50%% delivery\n\n", watched,
-              world.mesh_links().size());
+              runner.mesh_links().size());
 
   for (std::size_t i = 0; i < watched; ++i) {
-    const auto& link = world.mesh_links()[i];
+    const auto& link = runner.mesh_links()[i];
     std::printf("link %zu: AP%u -> AP%u (%s, median rx %.1f dBm)\n", i + 1,
                 link.from().value(), link.to().value(),
                 link.band() == phy::Band::k5GHz ? "5 GHz" : "2.4 GHz", link.median_rx_dbm());
-    const auto series = world.link_week_series(i, Duration::hours(1));
+    const auto series = runner.link_week_series(i, Duration::hours(1));
     int alerts = 0;
     bool alarmed = false;
     double min_ratio = 1.0;

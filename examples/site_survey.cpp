@@ -10,7 +10,7 @@
 #include <map>
 
 #include "core/stats.hpp"
-#include "sim/world.hpp"
+#include "sim/fleet_runner.hpp"
 
 int main() {
   using namespace wlm;
@@ -20,18 +20,18 @@ int main() {
   config.fleet.network_count = 8;
   config.fleet.model = deploy::ApModel::kMr18;
   config.seed = 1234;
-  sim::World world(config);
+  sim::FleetRunner runner(config);
 
   // Scan everything during business hours and collect per-channel stats.
-  world.run_mr18_scan(SimTime::epoch() + Duration::hours(10), 10.0);
-  world.harvest();
+  runner.run_mr18_scan(SimTime::epoch() + Duration::hours(10), 10.0);
+  runner.harvest();
 
   struct ChannelStat {
     RunningStats util;
     int neighbors = 0;
   };
   std::map<std::pair<int, int>, ChannelStat> by_channel;  // (band, channel)
-  world.reports().for_each([&](const wire::ApReport& report) {
+  runner.reports().for_each([&](const wire::ApReport& report) {
     std::map<std::pair<int, int>, int> neighbor_count;
     for (const auto& n : report.neighbors) {
       if (!n.is_same_fleet) ++neighbor_count[{n.band, n.channel}];

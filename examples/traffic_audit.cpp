@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "backend/aggregate.hpp"
-#include "sim/world.hpp"
+#include "sim/fleet_runner.hpp"
 
 int main() {
   using namespace wlm;
@@ -20,19 +20,19 @@ int main() {
   config.fleet.network_count = 5;
   config.client_scale = 2.0;
   config.seed = 99;
-  sim::World world(config);
+  sim::FleetRunner runner(config);
 
-  world.run_usage_week();
-  world.harvest();
+  runner.run_usage_week();
+  runner.harvest();
 
   backend::UsageAggregator agg;
-  agg.consume(world.reports(), SimTime::epoch(), SimTime::epoch() + Duration::days(8));
+  agg.consume(runner.reports(), SimTime::epoch(), SimTime::epoch() + Duration::days(8));
 
   std::printf("audited %zu clients, %llu flows classified (%llu disagreed with ground "
               "truth)\n\n",
               agg.client_count(),
-              static_cast<unsigned long long>(world.flows_classified()),
-              static_cast<unsigned long long>(world.flows_misclassified()));
+              static_cast<unsigned long long>(runner.flows_classified()),
+              static_cast<unsigned long long>(runner.flows_misclassified()));
 
   const auto categories = agg.by_category();
   std::uint64_t total = 0;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "analysis/experiments.hpp"
+#include "analysis/study_config.hpp"
 #include "classify/os.hpp"
 #include "core/chart.hpp"
 #include "core/table.hpp"
@@ -17,21 +18,7 @@ namespace wlm::analysis {
 namespace {
 
 sim::WorldConfig mobility_world_config(const ScenarioScale& scale) {
-  // Mirrors the usage study's seeding so mobility renders are directly
-  // comparable to Table 3/5/6 runs at the same scale.
-  const deploy::Epoch epoch = deploy::Epoch::kJan2015;
-  sim::WorldConfig cfg;
-  cfg.fleet.epoch = epoch;
-  cfg.fleet.network_count = scale.networks;
-  cfg.fleet.model = deploy::ApModel::kMr16;
-  cfg.fleet.seed = scale.seed ^ (static_cast<std::uint64_t>(epoch) << 32);
-  cfg.client_scale = scale.client_scale;
-  cfg.seed = scale.seed * 1315423911ULL + static_cast<std::uint64_t>(epoch);
-  cfg.threads = scale.threads;
-  cfg.classifier = scale.classifier;
-  cfg.per_mode = scale.per_mode;
-  cfg.mem_ceiling_mb = scale.mem_ceiling_mb;
-  cfg.spill_dir = scale.spill_dir;
+  sim::WorldConfig cfg = study_world_config(scale);
   cfg.mobility = scale.mobility;
   cfg.mobility.enabled = true;  // it is the mobility study
   return cfg;

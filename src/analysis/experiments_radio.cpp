@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "analysis/experiments.hpp"
+#include "analysis/study_config.hpp"
 #include "core/chart.hpp"
 #include "core/stats.hpp"
 #include "core/table.hpp"
@@ -14,20 +15,13 @@ namespace wlm::analysis {
 
 namespace {
 
+/// The study fleet with the radio studies' own seed salts, so their fleets
+/// are independent draws from the usage studies'.
 sim::WorldConfig radio_world_config(const ScenarioScale& scale, deploy::Epoch epoch,
                                     deploy::ApModel model) {
-  sim::WorldConfig cfg;
-  cfg.fleet.epoch = epoch;
-  cfg.fleet.network_count = scale.networks;
-  cfg.fleet.model = model;
+  sim::WorldConfig cfg = study_world_config(scale, epoch, model);
   cfg.fleet.seed = scale.seed ^ 0x9d2c5680ULL ^ (static_cast<std::uint64_t>(epoch) << 24);
-  cfg.client_scale = scale.client_scale;
   cfg.seed = scale.seed * 2654435761ULL + 17 + static_cast<std::uint64_t>(epoch);
-  cfg.threads = scale.threads;
-  cfg.classifier = scale.classifier;
-  cfg.per_mode = scale.per_mode;
-  cfg.mem_ceiling_mb = scale.mem_ceiling_mb;
-  cfg.spill_dir = scale.spill_dir;
   return cfg;
 }
 

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "analysis/experiments.hpp"
+#include "analysis/study_config.hpp"
 #include "classify/apps.hpp"
 #include "core/chart.hpp"
 #include "core/table.hpp"
@@ -14,27 +15,6 @@
 #include "sim/fleet_runner.hpp"
 
 namespace wlm::analysis {
-
-namespace {
-
-sim::WorldConfig make_world_config(const ScenarioScale& scale, deploy::Epoch epoch,
-                                   deploy::ApModel model) {
-  sim::WorldConfig cfg;
-  cfg.fleet.epoch = epoch;
-  cfg.fleet.network_count = scale.networks;
-  cfg.fleet.model = model;
-  cfg.fleet.seed = scale.seed ^ (static_cast<std::uint64_t>(epoch) << 32);
-  cfg.client_scale = scale.client_scale;
-  cfg.seed = scale.seed * 1315423911ULL + static_cast<std::uint64_t>(epoch);
-  cfg.threads = scale.threads;
-  cfg.classifier = scale.classifier;
-  cfg.per_mode = scale.per_mode;
-  cfg.mem_ceiling_mb = scale.mem_ceiling_mb;
-  cfg.spill_dir = scale.spill_dir;
-  return cfg;
-}
-
-}  // namespace
 
 int paper_network_count() { return deploy::total_network_count(); }
 
@@ -80,7 +60,7 @@ std::string render_table2(const ScenarioScale& scale) {
 UsageRun run_usage_study(const ScenarioScale& scale) {
   UsageRun run;
   for (const deploy::Epoch epoch : {deploy::Epoch::kJan2015, deploy::Epoch::kJan2014}) {
-    sim::FleetRunner world(make_world_config(scale, epoch, deploy::ApModel::kMr16));
+    sim::FleetRunner world(study_world_config(scale, epoch));
     world.run_usage_week(/*reports_per_week=*/7);
     world.harvest();
 
@@ -303,7 +283,7 @@ WireOverheadRun run_wire_overhead_study(const ScenarioScale& scale) {
   // A realistic reporting week: 7 usage reports plus interference/neighbor
   // telemetry every 20 minutes (504 reports), which dominates the byte
   // budget exactly as in the production system.
-  sim::FleetRunner world(make_world_config(scale, deploy::Epoch::kJan2015, deploy::ApModel::kMr16));
+  sim::FleetRunner world(study_world_config(scale));
   world.run_usage_week(7);
   // One simulated day of periodic radio reports, scaled to the week.
   constexpr int kReportsPerDay = 72;  // every 20 minutes
@@ -343,7 +323,7 @@ SnapshotRun run_snapshot_study(const ScenarioScale& scale) {
   run.caps_2014.resize(8, 0.0);
   run.caps_2015.resize(8, 0.0);
   for (const deploy::Epoch epoch : {deploy::Epoch::kJan2014, deploy::Epoch::kJan2015}) {
-    sim::FleetRunner world(make_world_config(scale, epoch, deploy::ApModel::kMr16));
+    sim::FleetRunner world(study_world_config(scale, epoch));
     world.snapshot_clients(SimTime::epoch() + Duration::hours(20));  // "one evening"
     world.harvest();
 

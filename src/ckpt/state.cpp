@@ -920,7 +920,9 @@ void save_world_config(Buf& b, const sim::WorldConfig& config) {
   for (const double d : config.fleet.density_mix) b.f64(d);
   b.f64(config.client_scale);
   b.u64(config.seed);
-  b.f64(config.wan_flap_fraction);
+  // Reserved slot (formerly a flap shorthand, now folded into the FaultSpec
+  // below before a runner ever sees it); kept so the v6 layout stands.
+  b.f64(0.0);
   save_fault_spec(b, config.faults);
   b.u64(static_cast<std::uint64_t>(config.classifier));
   b.u64(config.verdict_cache_capacity);
@@ -976,8 +978,10 @@ bool load_world_config(Cursor& c, sim::WorldConfig& out) {
   cfg.client_scale = c.f64();
   if (!(cfg.client_scale >= 0.0 && cfg.client_scale <= 1e6)) c.fail();
   cfg.seed = c.u64();
-  cfg.wan_flap_fraction = c.f64();
-  if (!(cfg.wan_flap_fraction >= 0.0 && cfg.wan_flap_fraction <= 1.0)) c.fail();
+  // Reserved slot: range-checked like any fraction, then ignored (the saved
+  // FaultSpec already carries the folded flap value).
+  const double reserved_flap = c.f64();
+  if (!(reserved_flap >= 0.0 && reserved_flap <= 1.0)) c.fail();
   if (!load_fault_spec(c, cfg.faults)) return false;
   const std::uint64_t mode = c.u64();
   if (mode > static_cast<std::uint64_t>(classify::ClassifierMode::kIndexed)) c.fail();

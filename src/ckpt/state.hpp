@@ -51,9 +51,8 @@ void save_rng(Buf& b, const Rng::State& s);
 void save_link(Buf& b, const sim::MeshLink::State& s);
 [[nodiscard]] bool load_link(Cursor& c, sim::MeshLink::State& out);
 
-// --- event-queue clock (sim::World checkpoints cut at drained-queue
-// points; pending callbacks are process state and are documented as not
-// captured) ---
+// --- event-queue clock (campaign checkpoints cut at drained-queue points;
+// pending callbacks are process state and are documented as not captured) ---
 void save_clock(Buf& b, const sim::EventQueue::ClockState& s);
 [[nodiscard]] bool load_clock(Cursor& c, sim::EventQueue::ClockState& out);
 

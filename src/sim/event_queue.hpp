@@ -1,7 +1,7 @@
 // A small discrete-event engine: a time-ordered queue of callbacks with
-// support for periodic events. The campaign runners in World use fixed
-// cadences directly for speed; this engine drives the finer-grained
-// examples and integration tests.
+// support for periodic events. FleetRunner's campaigns use fixed cadences
+// directly for speed; this engine drives the finer-grained examples and
+// integration tests.
 #pragma once
 
 #include <cstdint>

@@ -21,13 +21,6 @@ FleetRunner::FleetRunner(WorldConfig config)
   // value instead of silently producing nonsense (negative client counts,
   // chance() calls outside [0,1]).
   if (!(config_.client_scale > 0.0)) config_.client_scale = 0.0;  // also catches NaN
-  if (!(config_.wan_flap_fraction > 0.0)) config_.wan_flap_fraction = 0.0;
-  if (config_.wan_flap_fraction > 1.0) config_.wan_flap_fraction = 1.0;
-  // Legacy flap shorthand folds into the fault spec; an explicit
-  // faults.flap_fraction wins.
-  if (config_.wan_flap_fraction > 0.0 && config_.faults.flap_fraction == 0.0) {
-    config_.faults.flap_fraction = config_.wan_flap_fraction;
-  }
   config_.faults = config_.faults.clamped();
   config_.mobility = config_.mobility.clamped();
   config_.mesh = config_.mesh.clamped();
@@ -38,26 +31,15 @@ FleetRunner::FleetRunner(WorldConfig config)
   fleet_tsdb_.set_mem_ceiling(config_.mem_ceiling_mb * 1024 * 1024);
   fleet_tsdb_.set_spill_dir(config_.spill_dir);
 
-  ShardConfig shard_config;
-  shard_config.epoch = config_.fleet.epoch;
-  shard_config.client_scale = config_.client_scale;
-  shard_config.seed = config_.seed;
-  shard_config.faults = config_.faults;
-  shard_config.classifier = config_.classifier;
-  shard_config.verdict_cache_capacity = config_.verdict_cache_capacity;
-  shard_config.per_mode = config_.per_mode;
-  shard_config.mobility = config_.mobility;
-  shard_config.mesh = config_.mesh;
-
   // Shard construction is independent per network (each shard's RNG is a
   // substream of the base seed), so it parallelizes like the campaigns do.
   shards_.resize(fleet_.networks.size());
   parallel_for(fleet_.networks.size(), [&](std::size_t i) {
-    shards_[i] = std::make_unique<NetworkShard>(fleet_.networks[i], shard_config);
+    shards_[i] = std::make_unique<NetworkShard>(fleet_.networks[i], config_);
   });
 
   // Flat views and the AP lookup are built serially in fleet order, so the
-  // global AP/link ordering matches the monolithic World's exactly.
+  // global AP/link ordering is fleet order whatever the worker count.
   std::size_t total_aps = 0;
   std::size_t total_links = 0;
   for (const auto& shard : shards_) {
@@ -98,23 +80,6 @@ FleetRunner::FleetRunner(WorldConfig config)
 void FleetRunner::record_phase(const char* phase, double seconds) {
   profiler_.record(phase, seconds);
   telemetry::global_profiler().record(phase, seconds);
-}
-
-namespace {
-// Process-global, installed from the orchestrating thread before campaigns
-// start (see set_campaign_phase_hook's contract).
-FleetRunner::CampaignPhaseHook& campaign_phase_hook() {
-  static FleetRunner::CampaignPhaseHook hook;
-  return hook;
-}
-}  // namespace
-
-void FleetRunner::set_campaign_phase_hook(CampaignPhaseHook hook) {
-  campaign_phase_hook() = std::move(hook);
-}
-
-void FleetRunner::notify_phase(const char* phase) {
-  if (auto& hook = campaign_phase_hook()) hook(*this, phase);
 }
 
 void FleetRunner::parallel_for(std::size_t count,
@@ -205,47 +170,36 @@ std::size_t FleetRunner::client_count() const {
   return total;
 }
 
+void FleetRunner::run_campaign(const char* phase, double sim_hours,
+                               const std::function<void(NetworkShard&)>& fn) {
+  const telemetry::Stopwatch watch;
+  run_supervised(phase, fn);
+  record_phase(phase, watch.seconds());
+  campaign_sim_hours_ += sim_hours;
+  if (config_.mem_ceiling_mb > 0) incremental_harvest();
+}
+
 void FleetRunner::run_usage_week(int reports_per_week,
                                  const std::vector<traffic::UpdateSpike>& spikes) {
-  const telemetry::Stopwatch watch;
-  run_supervised("usage_week",
-                 [&](NetworkShard& shard) { shard.run_usage_week(reports_per_week, spikes); });
-  record_phase("usage_week", watch.seconds());
-  campaign_sim_hours_ += Duration::days(7).as_hours();
-  if (config_.mem_ceiling_mb > 0) incremental_harvest();
-  notify_phase("usage_week");
+  run_campaign("usage_week", Duration::days(7).as_hours(), [&](NetworkShard& shard) {
+    shard.run_usage_week(reports_per_week, spikes);
+  });
 }
 
 void FleetRunner::snapshot_clients(SimTime t) {
-  const telemetry::Stopwatch watch;
-  run_supervised("snapshot", [&](NetworkShard& shard) { shard.snapshot_clients(t); });
-  record_phase("snapshot", watch.seconds());
-  if (config_.mem_ceiling_mb > 0) incremental_harvest();
-  notify_phase("snapshot");
+  run_campaign("snapshot", 0.0, [&](NetworkShard& shard) { shard.snapshot_clients(t); });
 }
 
 void FleetRunner::run_mr16_interference(SimTime t) {
-  const telemetry::Stopwatch watch;
-  run_supervised("mr16", [&](NetworkShard& shard) { shard.run_mr16_interference(t); });
-  record_phase("mr16", watch.seconds());
-  if (config_.mem_ceiling_mb > 0) incremental_harvest();
-  notify_phase("mr16");
+  run_campaign("mr16", 0.0, [&](NetworkShard& shard) { shard.run_mr16_interference(t); });
 }
 
 void FleetRunner::run_mr18_scan(SimTime t, double hour) {
-  const telemetry::Stopwatch watch;
-  run_supervised("mr18", [&](NetworkShard& shard) { shard.run_mr18_scan(t, hour); });
-  record_phase("mr18", watch.seconds());
-  if (config_.mem_ceiling_mb > 0) incremental_harvest();
-  notify_phase("mr18");
+  run_campaign("mr18", 0.0, [&](NetworkShard& shard) { shard.run_mr18_scan(t, hour); });
 }
 
 void FleetRunner::run_link_windows(SimTime t) {
-  const telemetry::Stopwatch watch;
-  run_supervised("link_windows", [&](NetworkShard& shard) { shard.run_link_windows(t); });
-  record_phase("link_windows", watch.seconds());
-  if (config_.mem_ceiling_mb > 0) incremental_harvest();
-  notify_phase("link_windows");
+  run_campaign("link_windows", 0.0, [&](NetworkShard& shard) { shard.run_link_windows(t); });
 }
 
 void FleetRunner::harvest(HarvestMode mode) {
@@ -325,7 +279,6 @@ void FleetRunner::harvest(HarvestMode mode) {
   metrics_.gauge("wlm_tsdb_segment_bytes").set(static_cast<double>(ts.segment_bytes()));
   metrics_.gauge("wlm_tsdb_compression_ratio").set(ts.compression_ratio());
   record_phase("harvest_merge", merge_watch.seconds());
-  notify_phase("harvest");
 }
 
 std::vector<SeriesPoint> FleetRunner::link_week_series(std::size_t link_index,

@@ -25,64 +25,13 @@
 #include "deploy/generator.hpp"
 #include "failsafe/supervisor.hpp"
 #include "sim/network_shard.hpp"
+#include "sim/world_config.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profile.hpp"
 #include "telemetry/trace.hpp"
 #include "tsdb/fleet_store.hpp"
 
 namespace wlm::sim {
-
-struct WorldConfig {
-  deploy::FleetConfig fleet;
-  /// Scales clients per AP (1.0 = the industry-calibrated counts).
-  /// Negative or NaN values clamp to 0 at construction.
-  double client_scale = 1.0;
-  std::uint64_t seed = 7;
-  /// Legacy shorthand for faults.flap_fraction: the fraction of tunnels
-  /// that experience a one-shot WAN flap during a campaign. Folded into
-  /// `faults` at construction (kept so existing callers stay source
-  /// compatible); `faults.flap_fraction` wins when both are set.
-  double wan_flap_fraction = 0.0;
-  /// Fault scenario applied per shard; all-zeros runs a clean campaign.
-  fault::FaultSpec faults;
-  /// Classification engine every shard runs (indexed fast path by default;
-  /// reference keeps the linear oracle). Verdicts are identical in both.
-  classify::ClassifierMode classifier = classify::ClassifierMode::kIndexed;
-  /// Per-shard verdict cache bound; any value >= 1 is verdict-equivalent.
-  std::size_t verdict_cache_capacity = classify::VerdictCache::kDefaultCapacity;
-  /// PER evaluation path for mesh-link probes (table fast path by default;
-  /// reference recomputes the scalar). Outputs are byte-identical in both.
-  phy::PerMode per_mode = phy::PerMode::kTable;
-  /// Client mobility: random-waypoint walks + occupancy-wave handoffs.
-  /// Disabled by default; disabled runs are byte-identical to pre-mobility
-  /// builds (mobility draws live in their own salted substream).
-  mobility::MobilityConfig mobility;
-  /// Mesh backhaul: a fraction of each network's APs lose their WAN uplink
-  /// and relay report batches hop by hop to gateway APs. Disabled by
-  /// default (mesh_fraction == 0); disabled runs are byte-identical to
-  /// pre-mesh builds (mesh draws live in their own salted substream).
-  mesh::MeshConfig mesh;
-  /// Worker threads for shard campaigns; 1 runs fully serial. Output is
-  /// bit-identical regardless of this value.
-  int threads = 1;
-  /// Per-shard memory ceiling in MiB; 0 runs the classic hold-until-final
-  /// harvest. Nonzero turns on streaming harvest: every campaign phase
-  /// boundary drains connected tunnels, seals each shard's batch into a
-  /// columnar tsdb segment, releases the shard's row store, and spills
-  /// sealed segments to `spill_dir` when resident segment bytes press the
-  /// ceiling. The on/off bit is determinism-relevant (phase drains add poll
-  /// cycles) and is checkpointed; the value itself is a host resource knob
-  /// like `threads` — output is bit-identical for ANY nonzero ceiling,
-  /// across thread counts, and across spill on/off.
-  std::uint64_t mem_ceiling_mb = 0;
-  /// Where sealed segments spill when the ceiling presses (see above).
-  std::string spill_dir = ".";
-  /// Shard supervision knobs (retry budget, watchdog deadline, snapshot
-  /// capture). Defaults supervise without snapshots: a failing shard is
-  /// isolated and quarantined rather than retried. A clean campaign's
-  /// output is byte-identical whatever these are set to.
-  failsafe::SupervisorConfig supervision;
-};
 
 /// Delivery-ratio time series sample for one link (Figures 4/5).
 struct SeriesPoint {
@@ -93,6 +42,10 @@ struct SeriesPoint {
 class FleetRunner {
  public:
   explicit FleetRunner(WorldConfig config);
+
+  // The supervision hooks capture `this`, so the runner never moves.
+  FleetRunner(const FleetRunner&) = delete;
+  FleetRunner& operator=(const FleetRunner&) = delete;
 
   // --- structure ---
   [[nodiscard]] const WorldConfig& config() const { return config_; }
@@ -211,15 +164,6 @@ class FleetRunner {
   /// Restore-side overwrite, paired with the checkpoint's progress record.
   void set_campaign_sim_hours(double hours) { campaign_sim_hours_ = hours; }
 
-  /// Process-global hook invoked on the orchestrating thread after every
-  /// campaign phase (and harvest) completes, when shards are quiescent —
-  /// exactly the boundary where a checkpoint cut is safe. Used by
-  /// bench_common's auto-checkpointer; pass nullptr to clear. Not
-  /// thread-safe against concurrently running campaigns: install it before
-  /// the campaign starts.
-  using CampaignPhaseHook = std::function<void(FleetRunner&, const char* phase)>;
-  static void set_campaign_phase_hook(CampaignPhaseHook hook);
-
  private:
   WorldConfig config_;
   deploy::Fleet fleet_;
@@ -245,11 +189,17 @@ class FleetRunner {
   /// worker pool with per-shard exception isolation, then lets the
   /// supervisor restore/retry/quarantine failed shards in fleet order.
   void run_supervised(const char* phase, const std::function<void(NetworkShard&)>& fn);
+  /// One campaign phase: runs `fn` under supervision, records the phase's
+  /// wall clock, advances the campaign clock by `sim_hours`, then (streaming
+  /// harvest) drains and seals at the boundary. The clock advances before
+  /// the drain because sim_now_us() stamps it.
+  void run_campaign(const char* phase, double sim_hours,
+                    const std::function<void(NetworkShard&)>& fn);
   /// Streaming harvest (mem_ceiling_mb > 0): drains connected tunnels in
   /// parallel, seals each shard's batch into the segment vault in fleet
   /// order, releases the shard row stores, and spills if the ceiling
-  /// presses. Runs at every campaign phase boundary, before the phase hook,
-  /// so checkpoint cuts see sealed segments.
+  /// presses. Runs at every campaign phase boundary, so checkpoint cuts see
+  /// sealed segments.
   void incremental_harvest();
   /// Seals one shard's local store into the vault (no-op when empty).
   void seal_shard(std::size_t i);
@@ -261,8 +211,6 @@ class FleetRunner {
   /// Records a wall-clock phase into this runner's profiler and the
   /// process-wide one (telemetry::global_profiler), which bench mains dump.
   void record_phase(const char* phase, double seconds);
-  /// Fires the process-global campaign phase hook (if any) with this runner.
-  void notify_phase(const char* phase);
 };
 
 }  // namespace wlm::sim

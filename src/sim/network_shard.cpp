@@ -53,13 +53,10 @@ namespace {
 constexpr std::uint64_t kFaultSeedSalt = 0xFA171FA171FA17ULL;
 }  // namespace
 
-NetworkShard::NetworkShard(const deploy::NetworkConfig& net, const ShardConfig& config)
+NetworkShard::NetworkShard(const deploy::NetworkConfig& net, const WorldConfig& config)
     : net_(&net), config_(config),
       rng_(Rng::substream(config.seed, net.id.value())), poller_(store_),
       classifier_(config.classifier, config.verdict_cache_capacity) {
-  config_.faults = config_.faults.clamped();
-  config_.mobility = config_.mobility.clamped();
-  config_.mesh = config_.mesh.clamped();
   pathloss_.exponent = 3.2;
   pathloss_.shadowing_sigma_db = 7.0;
 

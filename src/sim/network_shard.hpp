@@ -26,46 +26,12 @@
 #include "mobility/mobility.hpp"
 #include "sim/ap.hpp"
 #include "sim/link.hpp"
+#include "sim/world_config.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "traffic/diurnal.hpp"
 
 namespace wlm::sim {
-
-/// Fleet-wide knobs a shard needs; shared verbatim by every shard.
-struct ShardConfig {
-  deploy::Epoch epoch = deploy::Epoch::kJan2015;
-  /// Scales clients per AP (1.0 = the industry-calibrated counts).
-  double client_scale = 1.0;
-  /// Base seed; each shard draws substream `network id` of it.
-  std::uint64_t seed = 7;
-  /// Fault scenario; FaultSpec{} (all zeros) runs a clean campaign. The
-  /// shard's FaultPlan is drawn from a dedicated substream, so enabling
-  /// faults never perturbs the campaign's own draws.
-  fault::FaultSpec faults;
-  /// Which classification engine APs run. kIndexed is the production fast
-  /// path; kReference keeps the linear scan as the differential oracle.
-  /// Verdicts (and therefore every report and table) are identical in both.
-  classify::ClassifierMode classifier = classify::ClassifierMode::kIndexed;
-  /// Per-shard verdict cache bound (flows pinned at once). Any value >= 1
-  /// yields the same verdict sequence; only hit/evict counts change.
-  std::size_t verdict_cache_capacity = classify::VerdictCache::kDefaultCapacity;
-  /// PER evaluation path mesh links use. kTable is the production lookup
-  /// fast path; kReference recomputes the scalar PER per probe as the
-  /// differential oracle. Probe outcomes are byte-identical in both.
-  phy::PerMode per_mode = phy::PerMode::kTable;
-  /// Client mobility knobs. Disabled (the default) keeps the legacy
-  /// coin-flip roaming and consumes zero extra campaign randomness —
-  /// mobility draws come from a dedicated substream (kMobilitySeedSalt),
-  /// so mobility-off output is byte-identical to pre-mobility builds.
-  mobility::MobilityConfig mobility;
-  /// Mesh backhaul knobs. Disabled (mesh_fraction == 0, the default) keeps
-  /// every AP on a WAN uplink and consumes zero extra campaign randomness —
-  /// mesh draws (gateway selection, per-phase link drift) come from a
-  /// dedicated substream (mesh::kMeshSeedSalt), so mesh-off output is
-  /// byte-identical to pre-mesh builds.
-  mesh::MeshConfig mesh;
-};
 
 /// How harvest treats tunnels that are down when the week ends.
 enum class HarvestMode {
@@ -111,14 +77,16 @@ struct ClientTrace {
 
 class NetworkShard {
  public:
-  NetworkShard(const deploy::NetworkConfig& net, const ShardConfig& config);
+  /// `config` is the owning runner's clamped configuration (the shard keeps
+  /// its own copy, next to the state its hot loops touch).
+  NetworkShard(const deploy::NetworkConfig& net, const WorldConfig& config);
 
   NetworkShard(const NetworkShard&) = delete;
   NetworkShard& operator=(const NetworkShard&) = delete;
 
   // --- structure ---
   [[nodiscard]] NetworkId id() const { return net_->id; }
-  [[nodiscard]] deploy::Epoch epoch() const { return config_.epoch; }
+  [[nodiscard]] deploy::Epoch epoch() const { return config_.fleet.epoch; }
   [[nodiscard]] const deploy::NetworkConfig& network() const { return *net_; }
   [[nodiscard]] std::vector<ApRuntime>& aps() { return aps_; }
   [[nodiscard]] const std::vector<ApRuntime>& aps() const { return aps_; }
@@ -238,7 +206,7 @@ class NetworkShard {
 
  private:
   const deploy::NetworkConfig* net_;
-  ShardConfig config_;
+  WorldConfig config_;
   Rng rng_;
   /// Runtime fault draws (corruption, skyscraper tables). A sibling of the
   /// plan's substream, so faults never consume campaign randomness.

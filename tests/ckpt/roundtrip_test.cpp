@@ -244,7 +244,7 @@ TEST(CkptState, WorldConfigRoundTripIsByteStable) {
   original.fleet.seed = 99;
   original.seed = 100;
   original.client_scale = 0.37;
-  original.wan_flap_fraction = 0.05;
+  original.faults.flap_fraction = 0.05;
   original.faults.outage_rate_per_week = 2.0;
   original.faults.corrupt_probability = 0.01;
   original.faults.tunnel_queue_limit = 64;
@@ -257,6 +257,7 @@ TEST(CkptState, WorldConfigRoundTripIsByteStable) {
       });
   EXPECT_EQ(fresh.fleet.network_count, 17);
   EXPECT_EQ(fresh.faults.tunnel_queue_limit, 64u);
+  EXPECT_DOUBLE_EQ(fresh.faults.flap_fraction, 0.05);
 }
 
 sim::WorldConfig small_faulted_config(int threads) {

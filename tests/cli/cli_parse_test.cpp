@@ -5,6 +5,7 @@
 // end-to-end exit-code check holds the line as flags accrete.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <sys/wait.h>
@@ -144,6 +145,38 @@ TEST(WlmctlFlagValidation, OutOfRangeMeshKnobsAreUsageErrors) {
         std::string("simulate --networks 2 ") + row.flag + " " + row.value;
     EXPECT_EQ(wlmctl_exit(cmd), 2) << "wlmctl " << cmd;
   }
+}
+
+/// Runs wlmctl and returns its stdout (stderr discarded).
+std::string wlmctl_stdout(const std::string& cmdline) {
+  const std::string full = std::string(WLMCTL_BIN) + " " + cmdline + " 2>/dev/null";
+  std::string out;
+  if (std::FILE* pipe = popen(full.c_str(), "r")) {
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+    pclose(pipe);
+  }
+  return out;
+}
+
+TEST(WlmctlFlapFlag, IsShorthandForFaultsFlapAndYieldsToIt) {
+  // --flap F runs exactly the --faults flap=F scenario.
+  const std::string via_flag = wlmctl_stdout("simulate --networks 3 --flap 0.8");
+  ASSERT_NE(via_flag.find("loss ledger"), std::string::npos) << via_flag;
+  EXPECT_EQ(via_flag, wlmctl_stdout("simulate --networks 3 --faults flap=0.8"));
+  EXPECT_NE(via_flag, wlmctl_stdout("simulate --networks 3"));
+  // A flap named in --faults wins over --flap. A 2-frame device queue makes
+  // the flap fraction visible on stdout (flapped tunnels shed backlog).
+  const std::string mixed =
+      wlmctl_stdout("simulate --networks 3 --faults flap=0.2,queue=2 --flap 0.8");
+  EXPECT_EQ(mixed, wlmctl_stdout("simulate --networks 3 --faults flap=0.2,queue=2"));
+  EXPECT_NE(mixed, wlmctl_stdout("simulate --networks 3 --faults flap=0.8,queue=2"));
+  // `health` still adds its default mixed-fault week when --flap is the
+  // only fault named, exactly as if the flap were part of that scenario.
+  EXPECT_EQ(wlmctl_stdout("health --networks 3 --flap 0.5"),
+            wlmctl_stdout("health --networks 3 --faults "
+                          "outage_rate=2,outage_hours=18,reboot_rate=1,corrupt=0.01,flap=0.5"));
 }
 
 #endif  // WLMCTL_BIN

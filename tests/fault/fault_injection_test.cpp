@@ -97,20 +97,6 @@ TEST(FaultInjection, FaultsDoNotPerturbCampaignDraws) {
   EXPECT_EQ(digest_with(fault::FaultSpec{}), digest_with(flap_only));
 }
 
-TEST(FaultInjection, LegacyFlapFoldsIntoFaultSpec) {
-  // WorldConfig::wan_flap_fraction keeps working as shorthand.
-  WorldConfig cfg = faulted_fleet(fault::FaultSpec{}, 6, 31);
-  cfg.wan_flap_fraction = 0.8;
-  FleetRunner runner(cfg);
-  EXPECT_DOUBLE_EQ(runner.config().faults.flap_fraction, 0.8);
-  runner.run_usage_week(7);
-  runner.harvest(HarvestMode::kFinal);
-  const fault::LossLedger ledger = runner.loss_ledger();
-  EXPECT_TRUE(ledger.conserved()) << ledger.render();
-  EXPECT_EQ(ledger.lost(), 0u) << "a flap alone loses nothing (paper §2)";
-  EXPECT_EQ(ledger.delivered, ledger.generated);
-}
-
 TEST(FaultInjection, BadKnobsClampInsteadOfMisbehaving) {
   fault::FaultSpec faults;
   faults.flap_fraction = 2.5;         // > 1

@@ -76,7 +76,7 @@ TEST(FleetRunner, FlappedTunnelsSurviveShardedHarvest) {
   // harvest reconnects them, so every enqueued report lands in the store.
   auto count_reports = [](double flap_fraction, int threads) {
     WorldConfig cfg = small_fleet(10, 21, threads);
-    cfg.wan_flap_fraction = flap_fraction;
+    cfg.faults.flap_fraction = flap_fraction;
     FleetRunner runner(cfg);
     runner.run_usage_week(/*reports_per_week=*/7);
     runner.harvest();

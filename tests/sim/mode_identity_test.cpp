@@ -14,7 +14,7 @@
 
 #include "analysis/experiments.hpp"
 #include "ckpt/campaign.hpp"
-#include "sim/world.hpp"
+#include "sim/fleet_runner.hpp"
 #include "telemetry/export.hpp"
 
 namespace wlm {
@@ -65,15 +65,15 @@ TEST(PerModeIdentity, StatsExportAndCheckpointIdenticalAcrossModesAndJobs) {
       cfg.seed = 2015;
       cfg.per_mode = mode;
       cfg.threads = jobs;
-      sim::World world(cfg);
-      world.run_usage_week();
-      world.run_mr16_interference(SimTime::epoch() + Duration::hours(14));
-      world.harvest(sim::HarvestMode::kFinal);
+      sim::FleetRunner runner(cfg);
+      runner.run_usage_week();
+      runner.run_mr16_interference(SimTime::epoch() + Duration::hours(14));
+      runner.harvest(sim::HarvestMode::kFinal);
 
-      const std::string stats = telemetry::to_prometheus(world.metrics());
+      const std::string stats = telemetry::to_prometheus(runner.metrics());
       ckpt::CampaignProgress progress;
       progress.phases_done = {"usage_week", "mr16", "harvest"};
-      const auto ckpt_bytes = ckpt::save_campaign(world.runner(), progress);
+      const auto ckpt_bytes = ckpt::save_campaign(runner, progress);
       ASSERT_FALSE(ckpt_bytes.empty());
 
       if (!have_baseline) {

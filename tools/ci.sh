@@ -408,6 +408,21 @@ mesh_smoke() {
 }
 mesh_smoke
 
+# Benchmark-harness unit tests: the percentile and gate arithmetic plus a
+# tiny run of every perfbench workload through perfbench/run.py, which
+# builds its own binary from src/ into .bench_build/. The harness gates
+# every performance claim, so a runtime change that breaks it fails here
+# instead of at benchmark time.
+perfbench_unit() {
+  echo "=== perfbench unit tests ==="
+  if ! command -v python3 > /dev/null 2>&1; then
+    echo "perfbench unit: skipped (no python3)"
+    return
+  fi
+  python3 -m unittest discover -s perfbench/tests
+}
+perfbench_unit
+
 if [[ "${1:-}" != "--fast" ]]; then
   # Sanitizer builds skip the `slow` and `perf` labels (fork-based e2e,
   # golden replays, and the PER-mode fleet-identity gates): the instrumented

@@ -28,7 +28,7 @@
 #include "failsafe/failpoint.hpp"
 #include "failsafe/supervisor.hpp"
 #include "fault/spec.hpp"
-#include "sim/world.hpp"
+#include "sim/fleet_runner.hpp"
 #include "telemetry/export.hpp"
 #include "traffic/pcap.hpp"
 #include "traffic/workload.hpp"
@@ -252,20 +252,23 @@ bool arm_failpoints(const Args& args) {
   return true;
 }
 
-std::optional<sim::WorldConfig> world_config(const Args& args) {
+/// Builds the campaign config from the shared options. With
+/// `mixed_fault_default`, a run whose --faults names no fault gets a
+/// representative mixed-fault week (what `health` triages by default).
+std::optional<sim::WorldConfig> world_config(const Args& args,
+                                             bool mixed_fault_default = false) {
   sim::WorldConfig config;
   config.fleet.epoch = deploy::Epoch::kJan2015;
   config.fleet.network_count = resolve_networks(args, 50);
   config.fleet.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   config.seed = config.fleet.seed + 1;
-  config.wan_flap_fraction = args.get_double("flap", 0.0);
+  const double flap = args.get_double("flap", 0.0);
   config.threads = args.get_int("jobs", 1);
   if (!validate_scale(args, config.fleet.network_count, config.threads)) {
     return std::nullopt;
   }
-  if (config.wan_flap_fraction < 0.0 || config.wan_flap_fraction > 1.0) {
-    std::fprintf(stderr, "wlmctl: --flap must be in [0,1] (got %g)\n",
-                 config.wan_flap_fraction);
+  if (flap < 0.0 || flap > 1.0) {
+    std::fprintf(stderr, "wlmctl: --flap must be in [0,1] (got %g)\n", flap);
     return std::nullopt;
   }
   if (const auto it = args.options.find("faults"); it != args.options.end()) {
@@ -277,6 +280,16 @@ std::optional<sim::WorldConfig> world_config(const Args& args) {
     }
     config.faults = *spec;
   }
+  if (mixed_fault_default && !config.faults.enabled()) {
+    // No scenario given: run a representative mixed-fault week so every
+    // triage signal has something to find.
+    config.faults.outage_rate_per_week = 2.0;
+    config.faults.outage_mean_hours = 18.0;
+    config.faults.reboot_rate_per_week = 1.0;
+    config.faults.corrupt_probability = 0.01;
+  }
+  // --flap F is shorthand for --faults flap=F; a nonzero flap in --faults wins.
+  if (config.faults.flap_fraction == 0.0) config.faults.flap_fraction = flap;
   if (const auto it = args.options.find("classifier"); it != args.options.end()) {
     const auto mode = classify::classifier_mode_from_name(it->second);
     if (!mode) {
@@ -572,26 +585,18 @@ int cmd_report(const Args& args) {
 
 int cmd_health(const Args& args) {
   if (!arm_failpoints(args)) return 2;
-  auto config = world_config(args);
+  const auto config = world_config(args, /*mixed_fault_default=*/true);
   if (!config) return 2;
-  if (!config->faults.enabled()) {
-    // No scenario given: run a representative mixed-fault week so every
-    // triage signal has something to find.
-    config->faults.outage_rate_per_week = 2.0;
-    config->faults.outage_mean_hours = 18.0;
-    config->faults.reboot_rate_per_week = 1.0;
-    config->faults.corrupt_probability = 0.01;
-  }
-  sim::World world(*config);
-  world.run_usage_week();
+  sim::FleetRunner runner(*config);
+  runner.run_usage_week();
   // Week-end view: APs still inside an outage stay offline — exactly the
   // state a fleet operator's dashboard would be alerting on.
-  world.harvest(sim::HarvestMode::kWeekEnd);
+  runner.harvest(sim::HarvestMode::kWeekEnd);
   backend::HealthPolicy policy;
   policy.expected_interval = Duration::days(1);
   const backend::HealthMonitor monitor(policy);
-  auto findings = monitor.analyze(world.reports(), SimTime::epoch() + Duration::days(7));
-  for (const auto& ap : world.aps()) {
+  auto findings = monitor.analyze(runner.reports(), SimTime::epoch() + Duration::days(7));
+  for (const auto& ap : runner.aps()) {
     const auto t = monitor.analyze_tunnel(ap.tunnel());
     findings.insert(findings.end(), t.begin(), t.end());
   }
@@ -601,7 +606,7 @@ int cmd_health(const Args& args) {
   // retry policy is currently punishing. The registry only carries per-AP
   // backoff gauges for tunnels that misbehaved at least once.
   std::printf("\npoller backoff state (tunnels that ever misbehaved):\n");
-  const auto& metrics = world.metrics();
+  const auto& metrics = runner.metrics();
   bool any_backoff = false;
   metrics.for_each_gauge([&](const telemetry::MetricKey& key, const telemetry::Gauge& g) {
     if (key.name != "wlm_poller_backoff_level") return;
@@ -617,9 +622,9 @@ int cmd_health(const Args& args) {
   });
   if (!any_backoff) std::printf("  (none — every tunnel polled clean all week)\n");
 
-  std::printf("\n%s\n", world.loss_ledger().render().c_str());
-  if (world.runner().supervisor().degraded()) {
-    std::printf("%s\n", world.runner().supervisor().manifest().render().c_str());
+  std::printf("\n%s\n", runner.loss_ledger().render().c_str());
+  if (runner.supervisor().degraded()) {
+    std::printf("%s\n", runner.supervisor().manifest().render().c_str());
     return kExitDegraded;
   }
   return 0;
@@ -629,21 +634,21 @@ int cmd_stats(const Args& args) {
   if (!arm_failpoints(args)) return 2;
   const auto config = world_config(args);
   if (!config) return 2;
-  sim::World world(*config);
-  world.run_usage_week();
-  world.run_mr16_interference(SimTime::epoch() + Duration::hours(14));
-  world.harvest(sim::HarvestMode::kFinal);
+  sim::FleetRunner runner(*config);
+  runner.run_usage_week();
+  runner.run_mr16_interference(SimTime::epoch() + Duration::hours(14));
+  runner.harvest(sim::HarvestMode::kFinal);
 
   // The snapshot itself goes to stdout; everything wall-clock or diagnostic
   // goes elsewhere, so stdout is byte-identical for any --jobs value.
-  const auto& metrics = world.metrics();
+  const auto& metrics = runner.metrics();
   std::fputs(telemetry::to_prometheus(metrics).c_str(), stdout);
 
   if (const auto it = args.options.find("metrics-out"); it != args.options.end()) {
     if (!write_text_file(it->second, telemetry::to_json_lines(metrics))) return 1;
   }
   if (const auto it = args.options.find("trace-out"); it != args.options.end()) {
-    if (!write_text_file(it->second, telemetry::spans_to_json_lines(world.trace()))) {
+    if (!write_text_file(it->second, telemetry::spans_to_json_lines(runner.trace()))) {
       return 1;
     }
   }
@@ -651,7 +656,7 @@ int cmd_stats(const Args& args) {
   // Reconcile the registry against the independently derived loss ledger:
   // the gauges published at harvest AND the live counters incremented on
   // the hot paths must both agree with it, or the instrumentation lies.
-  const auto ledger = world.loss_ledger();
+  const auto ledger = runner.loss_ledger();
   bool ok = true;
   const auto check = [&](const char* name, double have, std::uint64_t want) {
     if (have == static_cast<double>(want)) return;
@@ -678,7 +683,7 @@ int cmd_stats(const Args& args) {
           metrics.gauge_value("wlm_ledger_lost_mesh_partition"),
           ledger.lost_mesh_partition);
   }
-  const bool degraded = world.runner().supervisor().degraded();
+  const bool degraded = runner.supervisor().degraded();
   if (!degraded) {
     // These hot-path counters reflect work as it happened; a quarantined
     // shard's registry is excluded from the merge while the ledger
@@ -854,6 +859,7 @@ int usage() {
                "outage_hours, reboot_rate, fw_wave, fw_hour, corrupt, oom_threshold,\n"
                "skyscraper, skyscraper_neighbors, queue. Example:\n"
                "  wlmctl health --faults \"outage_rate=2,outage_hours=36,corrupt=0.02\"\n"
+               "--flap F is shorthand for --faults flap=F; a nonzero flap in --faults wins.\n"
                "\n"
                "--failpoints SPEC arms deterministic fault-injection sites: clauses\n"
                "separated by ';', each comma-separated key=value pairs. Keys: site\n"
