@@ -4,12 +4,13 @@
 #include <cstdio>
 #include <map>
 
+#include "bench_common.hpp"
 #include "core/rng.hpp"
 #include "scan/dfs.hpp"
 
 int main(int argc, char** argv) {
   using namespace wlm;
-  const int fleet = argc > 1 ? std::atoi(argv[1]) : 400;
+  const int fleet = bench::count_from_args(argc, argv, "fleet", 400);
   std::printf("=== Ablation: DFS radar pressure vs 5 GHz channel occupancy ===\n");
   std::printf("(%d auto-channel APs, uniform utilization everywhere, 4 simulated weeks)\n\n",
               fleet);

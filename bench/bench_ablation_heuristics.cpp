@@ -3,6 +3,7 @@
 // improvements in our heuristics").
 #include <cstdio>
 
+#include "bench_common.hpp"
 #include "classify/classifier.hpp"
 #include "classify/dhcp_fingerprint.hpp"
 #include "classify/oui.hpp"
@@ -12,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace wlm;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 50'000;
+  const int n = bench::count_from_args(argc, argv, "devices", 50'000);
   std::printf("=== Ablation: OS heuristics 2014 vs 2015 (%d devices) ===\n\n", n);
 
   const deploy::PopulationModel population(deploy::Epoch::kJan2015);

@@ -4,12 +4,13 @@
 // 64 MB platform OOMs and reboots.
 #include <cstdio>
 
+#include "bench_common.hpp"
 #include "core/rng.hpp"
 #include "probe/link_table.hpp"
 
 int main(int argc, char** argv) {
   using namespace wlm;
-  const int distinct_links = argc > 1 ? std::atoi(argv[1]) : 20'000;
+  const int distinct_links = bench::count_from_args(argc, argv, "links", 20'000);
   std::printf("=== Ablation: bounded link table vs unbounded growth ===\n");
   std::printf("(a skyscraper AP hears %d distinct foreign transmitters)\n\n", distinct_links);
 

@@ -3,6 +3,7 @@
 // measure", because Figures 7/8 show the count does not predict busyness).
 #include <cstdio>
 
+#include "bench_common.hpp"
 #include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "scan/channel_planner.hpp"
@@ -10,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace wlm;
-  const int networks = argc > 1 ? std::atoi(argv[1]) : 150;
+  const int networks = bench::count_from_args(argc, argv, "networks", 150);
   std::printf("=== Ablation: utilization-driven vs count-driven channel planning ===\n");
   std::printf("(%d networks, MR18 scan data, 2.4 GHz)\n\n", networks);
 

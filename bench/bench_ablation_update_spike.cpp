@@ -6,11 +6,12 @@
 #include <vector>
 
 #include "backend/aggregate.hpp"
+#include "bench_common.hpp"
 #include "sim/fleet_runner.hpp"
 
 int main(int argc, char** argv) {
   using namespace wlm;
-  const int networks = argc > 1 ? std::atoi(argv[1]) : 60;
+  const int networks = bench::count_from_args(argc, argv, "networks", 60);
   std::printf("=== Ablation: vendor software-update spike (paper SS6.2) ===\n\n");
 
   auto run_week = [&](const std::vector<traffic::UpdateSpike>& spikes) {

@@ -53,9 +53,10 @@ void write_bench_json() {
 /// Usage error on a bench argument: same contract as wlmctl's numeric
 /// flags (strict parse, exit 2), so a typo never runs a rescaled fleet.
 [[noreturn]] void reject_arg(const char* program, const char* name, const char* want,
-                             const char* got) {
+                             const char* got,
+                             const char* usage = "[networks] [client_scale] [seed] [threads]") {
   std::fprintf(stderr, "%s: %s must be %s (got '%s')\n", program, name, want, got);
-  std::fprintf(stderr, "usage: %s [networks] [client_scale] [seed] [threads]\n", program);
+  std::fprintf(stderr, "usage: %s %s\n", program, usage);
   std::exit(2);
 }
 
@@ -102,6 +103,15 @@ analysis::ScenarioScale scale_from_args(int argc, char** argv, int default_netwo
     scale.threads = static_cast<int>(*threads);
   }
   return scale;
+}
+
+int count_from_args(int argc, char** argv, const char* name, int fallback) {
+  const std::string usage = std::string("[") + name + "]";
+  if (argc > 2) reject_arg(argv[0], "argv", "at most one argument", argv[2], usage.c_str());
+  if (argc < 2) return fallback;
+  const auto count = cli::parse_int(argv[1], 1, INT_MAX);
+  if (!count) reject_arg(argv[0], name, "an integer >= 1", argv[1], usage.c_str());
+  return static_cast<int>(*count);
 }
 
 void print_header(const char* experiment, const analysis::ScenarioScale& scale) {

@@ -37,6 +37,12 @@ class Timer {
 [[nodiscard]] analysis::ScenarioScale scale_from_args(int argc, char** argv,
                                                       int default_networks = 250);
 
+/// The one optional argument of the ablation benches: bench_x [name], an
+/// integer >= 1 (`fallback` when absent). Parsed as strictly as
+/// scale_from_args: junk, a value below 1 or a second argument prints a
+/// usage error and exits 2.
+[[nodiscard]] int count_from_args(int argc, char** argv, const char* name, int fallback);
+
 /// Renders the two fields every BENCH_*.json record carries regardless of
 /// shape — `"fragments_frames_per_sec": R, "peak_rss_bytes": B` (no braces,
 /// so emitters splice it into their own records). `work_items` is the

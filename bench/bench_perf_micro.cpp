@@ -2,10 +2,11 @@
 // encode/decode, framing, medium observation, and the probe window.
 //
 // The custom main additionally runs the two-tier classification contrast
-// (RuleIndex + VerdictCache vs the kReference linear engine on the same
-// fragment stream) and appends one JSON record to $WLM_CLASSIFY_BENCH_JSON
-// (default ./BENCH_classify.json): flows/s in both modes, the speedup, the
-// cache hit/miss/evict counters, and the slow-path latency histogram.
+// (RuleIndex + VerdictCache vs the linear RuleSet oracle, which reparses
+// every fragment, on the same fragment stream) and appends one JSON record
+// to $WLM_CLASSIFY_BENCH_JSON (default ./BENCH_classify.json): flows/s for
+// both engines, the speedup, the cache hit/miss/evict counters, and the
+// slow-path latency histogram.
 // $WLM_CLASSIFY_BENCH_FLOWS overrides the stream size.
 //
 // It also runs the SINR->PER table contrast (guarded table draws vs the
@@ -98,10 +99,24 @@ std::uint64_t run_stream(classify::TwoTierClassifier& tier, const FragmentStream
   return acc;
 }
 
+// The oracle side: a full extract_metadata() reparse and a linear RuleSet
+// scan for every fragment, with no cache.
+std::uint64_t run_stream_reference(const FragmentStream& stream) {
+  const auto& rules = classify::RuleSet::standard();
+  std::uint64_t acc = 0;
+  for (const auto& flow : stream.flows) {
+    for (std::uint16_t f = 0; f < flow.fragments; ++f) {
+      const auto verdict = rules.classify(classify::extract_metadata(flow.sample));
+      acc += static_cast<std::uint64_t>(verdict);
+    }
+  }
+  return acc;
+}
+
 void BM_ClassifyTwoTierIndexed(benchmark::State& state) {
   const auto stream = make_fragment_stream(512);
   for (auto _ : state) {
-    classify::TwoTierClassifier tier(classify::ClassifierMode::kIndexed);
+    classify::TwoTierClassifier tier;
     benchmark::DoNotOptimize(run_stream(tier, stream));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -112,15 +127,14 @@ BENCHMARK(BM_ClassifyTwoTierIndexed);
 void BM_ClassifyTwoTierReference(benchmark::State& state) {
   const auto stream = make_fragment_stream(512);
   for (auto _ : state) {
-    classify::TwoTierClassifier tier(classify::ClassifierMode::kReference);
-    benchmark::DoNotOptimize(run_stream(tier, stream));
+    benchmark::DoNotOptimize(run_stream_reference(stream));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(stream.fragments));
 }
 BENCHMARK(BM_ClassifyTwoTierReference);
 
-// The JSON contrast record the CI smoke checks: one timed pass per mode
+// The JSON contrast record the CI smoke checks: one timed pass per engine
 // over an identical stream, verdict checksums compared as a sanity gate.
 void emit_classify_contrast() {
   std::size_t n_flows = 50'000;
@@ -129,19 +143,18 @@ void emit_classify_contrast() {
   }
   const auto stream = make_fragment_stream(n_flows);
 
-  const auto timed = [&](classify::TwoTierClassifier& tier) {
+  const auto timed = [&](auto&& run) {
     const auto start = std::chrono::steady_clock::now();
-    const auto checksum = run_stream(tier, stream);
+    const auto checksum = run();
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start)
                         .count();
     return std::pair<std::uint64_t, double>{checksum, static_cast<double>(ns) / 1e9};
   };
 
-  classify::TwoTierClassifier indexed(classify::ClassifierMode::kIndexed);
-  classify::TwoTierClassifier reference(classify::ClassifierMode::kReference);
-  const auto [sum_fast, s_fast] = timed(indexed);
-  const auto [sum_ref, s_ref] = timed(reference);
+  classify::TwoTierClassifier indexed;
+  const auto [sum_fast, s_fast] = timed([&] { return run_stream(indexed, stream); });
+  const auto [sum_ref, s_ref] = timed([&] { return run_stream_reference(stream); });
   if (sum_fast != sum_ref) {
     std::fprintf(stderr, "bench_classify: verdict checksum mismatch (%llu != %llu)\n",
                  static_cast<unsigned long long>(sum_fast),

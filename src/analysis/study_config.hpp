@@ -25,8 +25,6 @@ namespace wlm::analysis {
   cfg.client_scale = scale.client_scale;
   cfg.seed = scale.seed * 1315423911ULL + static_cast<std::uint64_t>(epoch);
   cfg.threads = scale.threads;
-  cfg.classifier = scale.classifier;
-  cfg.per_mode = scale.per_mode;
   cfg.mem_ceiling_mb = scale.mem_ceiling_mb;
   cfg.spill_dir = scale.spill_dir;
   return cfg;

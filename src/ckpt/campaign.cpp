@@ -107,9 +107,12 @@ Error restore_campaign(std::span<const std::uint8_t> bytes, int threads,
   if (!config_payload) return {Status::kMalformed, "missing config section"};
   Cursor config_cursor(*config_payload);
   sim::WorldConfig config;
-  if (!load_world_config(config_cursor, config) || !config_cursor.at_end()) {
-    return {Status::kMalformed, "config section: malformed payload"};
+  if (!load_world_config(config_cursor, config)) {
+    if (!config_cursor.ok()) return {Status::kMalformed, "config section: malformed payload"};
+    return {Status::kBadConfig, "config section: a reserved slot holds a setting this build "
+                                "no longer runs"};
   }
+  if (!config_cursor.at_end()) return {Status::kMalformed, "config section: malformed payload"};
   config.threads = threads < 1 ? 1 : threads;
 
   // Reconstruction: deterministic from the config alone. Everything below

@@ -24,6 +24,13 @@ bool plausible_count(Cursor& c, std::uint64_t count, std::size_t min_bytes_each)
   return true;
 }
 
+// Values of the reserved v6 slots that once held the classifier engine
+// (1 = indexed) and the supervisor's retry backoff base. The engine and the
+// backoff are fixed now, so a save writes these and a load accepts only
+// these.
+constexpr std::uint64_t kReservedEngine = 1;
+constexpr double kReservedRetryBackoffHours = 1.0;
+
 }  // namespace
 
 // --- RNG ---
@@ -843,7 +850,7 @@ bool load_recorder(Cursor& c, telemetry::FlightRecorder& recorder) {
 // --- two-tier classifier ---
 
 void save_classifier(Buf& b, const classify::TwoTierClassifier& classifier) {
-  b.u64(static_cast<std::uint64_t>(classifier.mode()));
+  b.u64(kReservedEngine);
   b.u64(classifier.slow_path_calls());
   const auto& stats = classifier.cache().stats();
   b.u64(stats.hits);
@@ -864,11 +871,12 @@ void save_classifier(Buf& b, const classify::TwoTierClassifier& classifier) {
 
 bool load_classifier(Cursor& c, classify::TwoTierClassifier& classifier) {
   const std::uint64_t mode = c.u64();
-  if (mode > static_cast<std::uint64_t>(classify::ClassifierMode::kIndexed)) c.fail();
+  if (mode > kReservedEngine) c.fail();
   if (!c.ok()) return false;
-  // The mode travels in the config section too; a shard section disagreeing
-  // with the rebuilt world is a config mismatch, not corruption.
-  if (mode != static_cast<std::uint64_t>(classifier.mode())) return false;
+  // Reserved slot: 0 was the linear reference engine, which this build no
+  // longer runs (its cache and slow-path counts differ), so such a shard is
+  // a config mismatch, not corruption.
+  if (mode != kReservedEngine) return false;
   const std::uint64_t slow_calls = c.u64();
   classify::VerdictCache::Stats stats;
   stats.hits = c.u64();
@@ -924,11 +932,14 @@ void save_world_config(Buf& b, const sim::WorldConfig& config) {
   // below before a runner ever sees it); kept so the v6 layout stands.
   b.f64(0.0);
   save_fault_spec(b, config.faults);
-  b.u64(static_cast<std::uint64_t>(config.classifier));
-  b.u64(config.verdict_cache_capacity);
+  // Reserved slots (formerly the classifier engine and the verdict cache
+  // bound); each writes the one value this build runs with.
+  b.u64(kReservedEngine);
+  b.u64(classify::VerdictCache::kDefaultCapacity);
   b.u64(config.supervision.max_shard_retries);
   b.f64(config.supervision.shard_deadline_hours);
-  b.f64(config.supervision.retry_backoff_hours);
+  // Reserved slot (formerly the supervisor's retry backoff base).
+  b.f64(kReservedRetryBackoffHours);
   b.boolean(config.supervision.capture_checkpoints);
   // v4: the streaming-harvest bit. Whether the campaign drains shards at
   // phase boundaries is simulated state (it adds poll cycles), so a resume
@@ -983,13 +994,13 @@ bool load_world_config(Cursor& c, sim::WorldConfig& out) {
   const double reserved_flap = c.f64();
   if (!(reserved_flap >= 0.0 && reserved_flap <= 1.0)) c.fail();
   if (!load_fault_spec(c, cfg.faults)) return false;
+  // Reserved slots: an out-of-range value is corruption; an in-range value
+  // other than the one this build writes is rejected after the whole
+  // section parsed (see below).
   const std::uint64_t mode = c.u64();
-  if (mode > static_cast<std::uint64_t>(classify::ClassifierMode::kIndexed)) c.fail();
-  cfg.classifier = static_cast<classify::ClassifierMode>(mode);
+  if (mode > kReservedEngine) c.fail();
   const std::uint64_t capacity = c.u64();
-  // A corrupted capacity must not balloon the rebuilt caches.
   if (capacity < 1 || capacity > 100'000'000) c.fail();
-  cfg.verdict_cache_capacity = static_cast<std::size_t>(capacity);
   cfg.supervision.max_shard_retries = c.u64();
   // Each retry can serialize + restore a whole shard; an absurd count is
   // corruption, not a scenario.
@@ -999,11 +1010,8 @@ bool load_world_config(Cursor& c, sim::WorldConfig& out) {
       std::isinf(cfg.supervision.shard_deadline_hours)) {
     c.fail();
   }
-  cfg.supervision.retry_backoff_hours = c.f64();
-  if (!(cfg.supervision.retry_backoff_hours >= 0.0) ||
-      std::isinf(cfg.supervision.retry_backoff_hours)) {
-    c.fail();
-  }
+  const double backoff_hours = c.f64();
+  if (!(backoff_hours >= 0.0) || std::isinf(backoff_hours)) c.fail();
   cfg.supervision.capture_checkpoints = c.boolean();
   // Streaming on restores with a default ceiling (output is identical for
   // any nonzero value); the actual bound and spill directory are the
@@ -1050,6 +1058,15 @@ bool load_world_config(Cursor& c, sim::WorldConfig& out) {
   cfg.mesh.drift_sigma_db = c.f64();
   if (!(cfg.mesh.drift_sigma_db >= 0.0 && cfg.mesh.drift_sigma_db <= 10.0)) c.fail();
   if (!c.ok()) return false;
+  // A well-formed checkpoint whose reserved slots hold another value came
+  // from an engine, cache bound or retry timing this build no longer has;
+  // resuming it would not be byte-identical. The cursor stays intact, so
+  // the caller reports a config mismatch rather than corruption.
+  if (mode != kReservedEngine ||
+      capacity != classify::VerdictCache::kDefaultCapacity ||
+      backoff_hours != kReservedRetryBackoffHours) {
+    return false;
+  }
   out = cfg;
   return true;
 }

@@ -111,12 +111,16 @@ void save_recorder(Buf& b, const telemetry::FlightRecorder& recorder);
 [[nodiscard]] bool load_recorder(Cursor& c, telemetry::FlightRecorder& recorder);
 
 // --- two-tier classifier (verdict cache contents in FIFO order + stats +
-// slow-path counter; the mode is validated against the rebuilt shard) ---
+// slow-path counter, after a reserved engine slot that must read 1) ---
 void save_classifier(Buf& b, const classify::TwoTierClassifier& classifier);
 [[nodiscard]] bool load_classifier(Cursor& c, classify::TwoTierClassifier& classifier);
 
 // --- world configuration (everything FleetRunner reconstruction needs;
-// `threads` is a runtime choice and is NOT serialized) ---
+// `threads` is a runtime choice and is NOT serialized). A load that returns
+// false with the cursor still ok parsed cleanly but found a reserved slot
+// holding a value this build does not write: a setting of an older build
+// (the reference classifier, another verdict cache bound or retry
+// backoff). ---
 void save_world_config(Buf& b, const sim::WorldConfig& config);
 [[nodiscard]] bool load_world_config(Cursor& c, sim::WorldConfig& out);
 

@@ -36,12 +36,6 @@ class ReverseLabelIterator {
 
 }  // namespace
 
-std::optional<ClassifierMode> classifier_mode_from_name(std::string_view name) {
-  if (name == "reference") return ClassifierMode::kReference;
-  if (name == "indexed") return ClassifierMode::kIndexed;
-  return std::nullopt;
-}
-
 const RuleIndex& RuleIndex::standard() {
   static const RuleIndex index{RuleSet::standard()};
   return index;

@@ -42,8 +42,6 @@ struct SupervisorConfig {
   /// Sim-hours of injected stall a shard may accumulate per phase before
   /// the watchdog trips (0 disables the watchdog).
   double shard_deadline_hours = 0.0;
-  /// First retry's sim-time penalty; doubles per subsequent retry.
-  double retry_backoff_hours = 1.0;
   /// Capture a per-shard state snapshot at each phase boundary so retry can
   /// restore. Off by default (snapshots cost time and memory); wlmctl turns
   /// it on whenever a supervision flag is present. Without snapshots a

@@ -63,19 +63,12 @@ double MinstrelController::delivery_estimate(phy::Modulation rate) const {
 }
 
 double simulate_throughput(MinstrelController& controller, double sinr_db,
-                           int payload_bytes, int n, Rng& rng,
-                           const phy::PerTableSet* tables) {
-  const bool use_tables = tables != nullptr && tables->payload_bytes() == payload_bytes;
+                           int payload_bytes, int n, Rng& rng) {
   double delivered_bits = 0.0;
   double airtime_us = 0.0;
   for (int i = 0; i < n; ++i) {
     const auto rate = controller.select();
-    // One uniform draw either way; chance_error(u) == (u < exact PER), so
-    // the table path consumes the stream identically to rng.chance(per).
-    const bool ok =
-        use_tables
-            ? !tables->table(rate).chance_error(sinr_db, rng.uniform())
-            : !rng.chance(phy::packet_error_rate(rate, sinr_db, payload_bytes));
+    const bool ok = !rng.chance(phy::packet_error_rate(rate, sinr_db, payload_bytes));
     controller.on_result(rate, ok);
     airtime_us += static_cast<double>(phy::airtime_us(rate, payload_bytes));
     if (ok) delivered_bits += static_cast<double>(payload_bytes) * 8.0;

@@ -16,7 +16,6 @@
 
 #include "core/rng.hpp"
 #include "phy/modulation.hpp"
-#include "phy/per_table.hpp"
 
 namespace wlm::mac {
 
@@ -63,12 +62,8 @@ class MinstrelController {
 
 /// Convenience: simulate `n` transmissions of `payload_bytes` frames over a
 /// channel at the given SINR and report the mean achieved throughput in
-/// Mb/s (successful payload bits over total airtime). When `tables` is
-/// supplied (and built for this payload size) per-frame loss draws go
-/// through the guarded SINR->PER lookup — bit-identical outcomes, no
-/// pow/erfc in the loop.
+/// Mb/s (successful payload bits over total airtime).
 [[nodiscard]] double simulate_throughput(MinstrelController& controller, double sinr_db,
-                                         int payload_bytes, int n, Rng& rng,
-                                         const phy::PerTableSet* tables = nullptr);
+                                         int payload_bytes, int n, Rng& rng);
 
 }  // namespace wlm::mac

@@ -42,26 +42,6 @@ PerTable::PerTable(Modulation m, int payload_bytes)
   }
 }
 
-double PerTable::interpolated(double sinr_db) const {
-  if (!(sinr_db >= kGridMinDb) || !(sinr_db <= kGridMaxDb)) {
-    return packet_error_rate(modulation_, sinr_db, payload_bytes_);
-  }
-  auto i = static_cast<std::size_t>((sinr_db - kGridMinDb) / kGridStepDb);
-  if (i >= kGridPoints - 1) i = kGridPoints - 2;
-  const double t = (sinr_db - grid_sinr_db(static_cast<int>(i))) / kGridStepDb;
-  return per_[i] + t * (per_[i + 1] - per_[i]);
-}
-
-const char* per_mode_name(PerMode mode) {
-  return mode == PerMode::kReference ? "reference" : "table";
-}
-
-std::optional<PerMode> per_mode_from_name(std::string_view name) {
-  if (name == "reference") return PerMode::kReference;
-  if (name == "table") return PerMode::kTable;
-  return std::nullopt;
-}
-
 const PerTable& probe_per_table(Modulation m) {
   // Probe frames are 60 bytes on both bands (sim/link.cpp). Magic statics
   // make the first lookup build the tables exactly once, thread-safely;

@@ -7,9 +7,10 @@
 // fixed grid once and answer queries from the table.
 //
 // Determinism contract (same oracle pattern as classify::RuleIndex): the
-// scalar path in phy/modulation.cpp is kept verbatim as the reference, and
-// the table must produce *byte-identical simulation outcomes*, not merely
-// close ones. The trick is that the simulation never consumes a raw PER —
+// table is the only runtime path, and the scalar packet_error_rate() in
+// phy/modulation.cpp stays verbatim as the plain-function oracle that tests
+// compare against. The table must produce *byte-identical simulation
+// outcomes*, not merely close ones. The trick is that the simulation never consumes a raw PER —
 // it consumes Bernoulli draws `u < f(per)`. PER is monotone non-increasing
 // in SINR per modulation, so a grid interval [s_i, s_{i+1}] brackets the
 // exact value: per(s) in [per(s_{i+1}), per(s_i)] up to floating-point
@@ -21,22 +22,12 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "phy/modulation.hpp"
 
 namespace wlm::phy {
-
-/// Which PER evaluation path the simulation uses. kReference keeps the
-/// verbatim scalar computation as the differential oracle; kTable is the
-/// production fast path. All outputs are byte-identical in both modes.
-enum class PerMode : std::uint8_t {
-  kReference,
-  kTable,
-};
 
 /// Guaranteed bracket around the exact scalar PER at some SINR.
 struct PerBounds {
@@ -77,11 +68,6 @@ class PerTable {
     return PerBounds{lo_[i], hi_[i]};
   }
 
-  /// Deterministic linear interpolation between grid points — the analytics
-  /// approximation (plots, calibration sweeps). Never used on byte-identity
-  /// paths; off-grid SINR falls back to the exact scalar value.
-  [[nodiscard]] double interpolated(double sinr_db) const;
-
   /// Guarded Bernoulli: returns `u < per_exact(sinr_db)` bit-for-bit. The
   /// table decides draws that clear the bracket; draws inside it (a few in
   /// a million) recompute the exact scalar PER. Const and stateless, so one
@@ -102,17 +88,12 @@ class PerTable {
   std::array<double, kGridPoints - 1> hi_{};   // widened interval upper bounds
 };
 
-/// CLI name for a mode ("reference" / "table") and the inverse mapping;
-/// nullopt for unknown names.
-[[nodiscard]] const char* per_mode_name(PerMode mode);
-[[nodiscard]] std::optional<PerMode> per_mode_from_name(std::string_view name);
-
 /// Shared probe-frame tables (payload 60 bytes — the mesh link probe size):
 /// DSSS 1 for 2.4 GHz, OFDM 6 for 5 GHz. Built once, never mutated after,
 /// safe to share across shard threads.
 [[nodiscard]] const PerTable& probe_per_table(Modulation m);
 
-/// All twelve rate tables for one payload size (rate-control sweeps).
+/// All twelve rate tables for one payload size (the PER bench and tests).
 class PerTableSet {
  public:
   explicit PerTableSet(int payload_bytes);

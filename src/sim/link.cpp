@@ -7,12 +7,11 @@
 
 namespace wlm::sim {
 
-MeshLink::MeshLink(ApId from, ApId to, LinkBudget budget, Rng rng, phy::PerMode per_mode)
+MeshLink::MeshLink(ApId from, ApId to, LinkBudget budget, Rng rng)
     : from_(from),
       to_(to),
       budget_(budget),
       rng_(rng),
-      per_mode_(per_mode),
       // Multipath: Rician K ~ 6 dB indoors, mild probe-to-probe correlation
       // (15 s apart). Slow drift: high coherence, small swing via K.
       fast_fading_(rng_.fork(), 6.0, 0.35),
@@ -48,17 +47,15 @@ bool MeshLink::probe_with(const ProbeOutcomeModel& model, double u) {
   const double p_collision =
       std::clamp(model.receiver_utilization * model.hidden_fraction, 0.0, 1.0);
   advance();
-  if (per_mode_ == phy::PerMode::kTable) {
-    if (const auto b = phy::probe_per_table(modulation).bounds(sinr)) {
-      // Delivery p = (1 - per) * (1 - p_collision) is monotone decreasing
-      // in per, and IEEE rounding preserves monotonicity, so the PER
-      // bracket maps straight to a delivery-probability bracket. A draw
-      // that clears the bracket is decided without touching pow/erfc.
-      const double p_lo = (1.0 - b->hi) * (1.0 - p_collision);
-      const double p_hi = (1.0 - b->lo) * (1.0 - p_collision);
-      if (u < p_lo) return true;
-      if (u >= p_hi) return false;
-    }
+  if (const auto b = phy::probe_per_table(modulation).bounds(sinr)) {
+    // Delivery p = (1 - per) * (1 - p_collision) is monotone decreasing in
+    // per, and IEEE rounding preserves monotonicity, so the PER bracket maps
+    // straight to a delivery-probability bracket. A draw that clears the
+    // bracket is decided without touching pow/erfc.
+    const double p_lo = (1.0 - b->hi) * (1.0 - p_collision);
+    const double p_hi = (1.0 - b->lo) * (1.0 - p_collision);
+    if (u < p_lo) return true;
+    if (u >= p_hi) return false;
   }
   const double per = phy::packet_error_rate(modulation, sinr, 60);
   return u < (1.0 - per) * (1.0 - p_collision);

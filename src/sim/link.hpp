@@ -35,12 +35,7 @@ struct ProbeOutcomeModel {
 
 class MeshLink {
  public:
-  /// `per_mode` picks the PER evaluation path for probe outcomes: kTable
-  /// consults the shared SINR->PER lookup (guarded-exact, byte-identical
-  /// booleans), kReference recomputes the scalar PER per probe. Probe
-  /// results, RNG consumption, and checkpoint state are identical in both.
-  MeshLink(ApId from, ApId to, LinkBudget budget, Rng rng,
-           phy::PerMode per_mode = phy::PerMode::kTable);
+  MeshLink(ApId from, ApId to, LinkBudget budget, Rng rng);
 
   [[nodiscard]] ApId from() const { return from_; }
   [[nodiscard]] ApId to() const { return to_; }
@@ -60,8 +55,17 @@ class MeshLink {
   };
   [[nodiscard]] WindowResult measure_window(const ProbeOutcomeModel& model, int probes = 20);
 
-  /// Current per-probe delivery probability (for tests/calibration).
+  /// Current per-probe delivery probability (for tests/calibration): the
+  /// scalar packet_error_rate() formula on the current fading state.
   [[nodiscard]] double delivery_probability(const ProbeOutcomeModel& model);
+
+  /// One probe with the uniform draw `u` supplied by the caller, then
+  /// advances the fading processes; shared by probe_once (scalar draw) and
+  /// measure_window (batched draws). Outcomes come from the shared
+  /// SINR->PER table, falling back to the scalar PER only for draws inside
+  /// its bracket, so the result equals `u < delivery_probability(model)`
+  /// taken just before the call, bit for bit.
+  [[nodiscard]] bool probe_with(const ProbeOutcomeModel& model, double u);
 
   /// Mutable link state for checkpoint/restore. The budget and endpoints are
   /// construction-time configuration; only the RNG and the two fading
@@ -92,16 +96,12 @@ class MeshLink {
   ApId to_;
   LinkBudget budget_;
   Rng rng_;
-  phy::PerMode per_mode_;
   phy::FadingProcess fast_fading_;  // multipath, decorrelates probe to probe
   phy::FadingProcess slow_drift_;   // doors/people/inventory, hours timescale
   double current_fast_db_ = 0.0;
   double current_slow_db_ = 0.0;
 
   void advance();
-  /// One probe with the uniform draw `u` supplied by the caller; shared by
-  /// probe_once (scalar draw) and measure_window (batched draws).
-  [[nodiscard]] bool probe_with(const ProbeOutcomeModel& model, double u);
 };
 
 /// Static link budget between two APs in the same site.

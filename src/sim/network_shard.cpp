@@ -55,8 +55,7 @@ constexpr std::uint64_t kFaultSeedSalt = 0xFA171FA171FA17ULL;
 
 NetworkShard::NetworkShard(const deploy::NetworkConfig& net, const WorldConfig& config)
     : net_(&net), config_(config),
-      rng_(Rng::substream(config.seed, net.id.value())), poller_(store_),
-      classifier_(config.classifier, config.verdict_cache_capacity) {
+      rng_(Rng::substream(config.seed, net.id.value())), poller_(store_) {
   pathloss_.exponent = 3.2;
   pathloss_.shadowing_sigma_db = 7.0;
 
@@ -189,12 +188,10 @@ void NetworkShard::build_clients() {
             device.os, static_cast<unsigned>(rng_.next_u64() & 3)));
       }
     }
-    // Indexed mode routes the evidence lookups through the exact-match
-    // buckets; the decision procedure (and result) is the same either way.
-    client.detected_os = classify::classify_os(
-        evidence, classify::HeuristicsVersion::k2015,
-        config_.classifier == classify::ClassifierMode::kIndexed ? &classify::RuleIndex::standard()
-                                                                 : nullptr);
+    // The index routes the evidence lookups through its exact-match
+    // buckets; the decision procedure (and result) is classify_os's own.
+    client.detected_os = classify::classify_os(evidence, classify::HeuristicsVersion::k2015,
+                                               &classify::RuleIndex::standard());
     home.add_client(std::move(client));
     if (config_.mobility.enabled) {
       // Roster rides the already-drawn placement (no extra campaign draws);
@@ -281,7 +278,7 @@ void NetworkShard::build_links() {
             compute_link_budget(a.config().position, b.config().position, walls, band, tx,
                                 pathloss_, rng_);
         if (budget.median_rx_dbm < -95.0) continue;  // never decodable
-        links_.emplace_back(a.id(), b.id(), budget, rng_.fork(), config_.per_mode);
+        links_.emplace_back(a.id(), b.id(), budget, rng_.fork());
       }
     }
   }
@@ -665,9 +662,9 @@ void NetworkShard::run_usage_week(int reports_per_week,
       for (const auto& flow : week.flows) {
         // The AP observes the flow `fragments` times. The first observation
         // takes the slow path (parse + rule match) and pins the verdict; the
-        // rest are attributed from the cache — or reparsed end to end in
-        // reference mode, which is exactly the contrast bench_perf_micro
-        // measures. Verdicts are identical either way.
+        // rest are attributed from the cache. bench_perf_micro contrasts this
+        // with the reference engine reparsing every fragment; verdicts are
+        // identical either way.
         const classify::FlowKey key{device.mac.to_u64(), home.id().value(),
                                     flow.dst_host, flow.src_port, flow.sample.dst_port,
                                     flow.sample.transport == classify::Transport::kUdp

@@ -7,14 +7,11 @@
 #include <cstdint>
 #include <string>
 
-#include "classify/rule_index.hpp"
-#include "classify/verdict_cache.hpp"
 #include "deploy/generator.hpp"
 #include "failsafe/supervisor.hpp"
 #include "fault/spec.hpp"
 #include "mac/mesh.hpp"
 #include "mobility/mobility.hpp"
-#include "phy/per_table.hpp"
 
 namespace wlm::sim {
 
@@ -30,14 +27,6 @@ struct WorldConfig {
   /// shard's FaultPlan is drawn from a dedicated substream, so enabling
   /// faults never perturbs the campaign's own draws.
   fault::FaultSpec faults;
-  /// Classification engine every shard runs (indexed fast path by default;
-  /// reference keeps the linear oracle). Verdicts are identical in both.
-  classify::ClassifierMode classifier = classify::ClassifierMode::kIndexed;
-  /// Per-shard verdict cache bound; any value >= 1 is verdict-equivalent.
-  std::size_t verdict_cache_capacity = classify::VerdictCache::kDefaultCapacity;
-  /// PER evaluation path for mesh-link probes (table fast path by default;
-  /// reference recomputes the scalar). Outputs are byte-identical in both.
-  phy::PerMode per_mode = phy::PerMode::kTable;
   /// Client mobility: random-waypoint walks + occupancy-wave handoffs.
   /// Disabled by default; disabled runs are byte-identical to pre-mobility
   /// builds (mobility draws live in their own salted substream).

@@ -7,8 +7,11 @@
 // partially restored runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/campaign.hpp"
@@ -641,6 +644,104 @@ TEST(CkptFuzz, TamperedSectionWithRecomputedCrcFailsTyped) {
       w.add_section(r.sections()[s].tag, std::move(payload));
     }
     expect_typed_outcome(w.finish());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reserved slots. The config section keeps three v6 slots whose settings are
+// gone (classifier engine, verdict cache bound, retry backoff base) and each
+// shard section one (classifier engine). A save writes the one value this
+// build runs with; a load answers any other value with a typed error:
+// kBadConfig for a value an older build could have written (resuming it
+// would not be byte-identical), kMalformed for one no build could write.
+
+/// Replaces the single occurrence of `from` in `payload` with `to`.
+void replace_once(std::vector<std::uint8_t>& payload, const std::vector<std::uint8_t>& from,
+                  const std::vector<std::uint8_t>& to) {
+  const auto at = std::search(payload.begin(), payload.end(), from.begin(), from.end());
+  if (at == payload.end()) {
+    ADD_FAILURE() << "reserved-slot bytes not found";
+    return;
+  }
+  EXPECT_EQ(std::search(at + 1, payload.end(), from.begin(), from.end()), payload.end())
+      << "reserved-slot bytes are ambiguous";
+  const auto pos = at - payload.begin();
+  payload.erase(at, at + static_cast<std::ptrdiff_t>(from.size()));
+  payload.insert(payload.begin() + pos, to.begin(), to.end());
+}
+
+TEST(CkptFuzz, PoisonedReservedSlotsFailTyped) {
+  const auto valid = valid_checkpoint();
+  const auto expect_status = [](const std::vector<std::uint8_t>& bytes, ckpt::Status want,
+                                const std::string& what) {
+    ckpt::RestoredCampaign out;
+    const auto err = ckpt::restore_campaign(bytes, 1, out);
+    EXPECT_EQ(err.status, want) << what << ": " << err.detail;
+    EXPECT_EQ(out.runner, nullptr) << what;
+  };
+
+  // Config section: the three reserved slots around the two supervision
+  // knobs that stay, as valid_checkpoint() (default supervision) saves them.
+  const failsafe::SupervisorConfig supervision;
+  const auto config_run = [&](std::uint64_t mode, std::uint64_t capacity, double backoff) {
+    ckpt::Buf b;
+    b.u64(mode);
+    b.u64(capacity);
+    b.u64(supervision.max_shard_retries);
+    b.f64(supervision.shard_deadline_hours);
+    b.f64(backoff);
+    return b.take();
+  };
+  constexpr std::uint64_t kCapacity = classify::VerdictCache::kDefaultCapacity;
+  const auto saved = config_run(1, kCapacity, 1.0);
+  struct Case {
+    const char* what;
+    std::vector<std::uint8_t> run;
+    ckpt::Status want;
+  };
+  const Case cases[] = {
+      {"reference classifier", config_run(0, kCapacity, 1.0), ckpt::Status::kBadConfig},
+      {"unknown classifier", config_run(2, kCapacity, 1.0), ckpt::Status::kMalformed},
+      {"smaller cache", config_run(1, 64, 1.0), ckpt::Status::kBadConfig},
+      {"larger cache", config_run(1, kCapacity + 1, 1.0), ckpt::Status::kBadConfig},
+      {"zero cache", config_run(1, 0, 1.0), ckpt::Status::kMalformed},
+      {"doubled backoff", config_run(1, kCapacity, 2.0), ckpt::Status::kBadConfig},
+      {"no backoff", config_run(1, kCapacity, 0.0), ckpt::Status::kBadConfig},
+      {"negative backoff", config_run(1, kCapacity, -1.0), ckpt::Status::kMalformed},
+  };
+  ckpt::Reader r;
+  ASSERT_FALSE(r.load(valid));
+  for (const Case& c : cases) {
+    ckpt::Writer w;
+    for (const auto& section : r.sections()) {
+      std::vector<std::uint8_t> payload{section.payload.begin(), section.payload.end()};
+      if (section.tag == ckpt::SectionTag::kConfig) replace_once(payload, saved, c.run);
+      w.add_section(section.tag, std::move(payload));
+    }
+    expect_status(w.finish(), c.want, c.what);
+  }
+
+  // Shard sections: the classifier block opens with the reserved engine
+  // slot. Its bytes are the restored shard's own classifier serialization.
+  ckpt::RestoredCampaign restored;
+  ASSERT_FALSE(ckpt::restore_campaign(valid, 1, restored));
+  for (std::size_t shard = 0; shard < restored.runner->shards().size(); ++shard) {
+    ckpt::Buf b;
+    ckpt::save_classifier(b, restored.runner->shards()[shard]->classifier());
+    const auto block = b.take();
+    ASSERT_EQ(block.front(), 1);
+    for (const auto& [engine, want] :
+         {std::pair{std::uint8_t{0}, ckpt::Status::kBadConfig},
+          std::pair{std::uint8_t{2}, ckpt::Status::kMalformed}}) {
+      auto poisoned = block;
+      poisoned.front() = engine;
+      expect_status(with_shard_payload(valid, shard,
+                                       [&](std::vector<std::uint8_t>& payload) {
+                                         replace_once(payload, block, poisoned);
+                                       }),
+                    want, "shard " + std::to_string(shard) + " engine " +
+                              std::to_string(engine));
+    }
   }
 }
 

@@ -129,14 +129,13 @@ TEST(CkptState, TunnelRoundTripIsByteStable) {
 }
 
 TEST(CkptState, ClassifierRoundTripIsByteStable) {
-  using classify::ClassifierMode;
   using classify::FlowKey;
   using classify::TwoTierClassifier;
 
   // Populate the cache through the real classify path: a few TLS flows with
   // distinct keys, some taken past the pin quota (so a hit is recorded) and
   // enough keys to force an eviction at capacity 3.
-  TwoTierClassifier original(ClassifierMode::kIndexed, /*cache_capacity=*/3);
+  TwoTierClassifier original(/*cache_capacity=*/3);
   classify::FlowSample sample;
   sample.dst_port = 443;
   sample.first_payload = classify::build_client_hello("www.netflix.com", 1);
@@ -148,7 +147,7 @@ TEST(CkptState, ClassifierRoundTripIsByteStable) {
   ASSERT_GT(original.cache().stats().hits, 0u);
   ASSERT_GT(original.cache().stats().evictions, 0u);
 
-  TwoTierClassifier fresh(ClassifierMode::kIndexed, /*cache_capacity=*/3);
+  TwoTierClassifier fresh(/*cache_capacity=*/3);
   expect_save_load_save_identity(
       original, fresh,
       [](ckpt::Buf& b, const TwoTierClassifier& t) { ckpt::save_classifier(b, t); },
@@ -163,13 +162,16 @@ TEST(CkptState, ClassifierRoundTripIsByteStable) {
   (void)fresh.classify(pinned, sample);
   EXPECT_EQ(fresh.cache().stats().hits, hits_before + 1);
 
-  // ...and a mode mismatch is a config error (false), not corruption.
+  // ...and the reserved engine slot (first u64) holding the retired
+  // reference engine (0) is a config error (false), not corruption.
   ckpt::Buf b;
   ckpt::save_classifier(b, original);
-  const auto bytes = b.take();
+  auto bytes = b.take();
+  ASSERT_EQ(bytes.front(), 1);
+  bytes.front() = 0;
   ckpt::Cursor c(bytes);
-  TwoTierClassifier wrong_mode(ClassifierMode::kReference);
-  EXPECT_FALSE(ckpt::load_classifier(c, wrong_mode));
+  TwoTierClassifier reloaded(/*cache_capacity=*/3);
+  EXPECT_FALSE(ckpt::load_classifier(c, reloaded));
   EXPECT_TRUE(c.ok());
 }
 

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <string>
 #include <sys/wait.h>
+#include <utility>
 
 #include "cli/parse.hpp"
 
@@ -122,8 +123,11 @@ TEST(WlmctlFlagValidation, EveryNumericFlagRejectsHostileValues) {
       std::string cmd = std::string(row.command) + " " + row.flag + " '" +
                         poison + "'";
       // Keep accidental acceptance cheap — unless --networks is the flag
-      // under test (duplicate options overwrite, which would heal it).
-      if (std::string(row.flag) != "--networks") cmd += " --networks 2";
+      // under test (duplicate options overwrite, which would heal it) or
+      // the command has no fleet (pcap and spectrum reject --networks).
+      const std::string command = row.command;
+      const bool fleet = command.rfind("pcap", 0) != 0 && command.rfind("spectrum", 0) != 0;
+      if (fleet && std::string(row.flag) != "--networks") cmd += " --networks 2";
       EXPECT_EQ(wlmctl_exit(cmd), 2) << "wlmctl " << cmd;
     }
   }
@@ -145,6 +149,53 @@ TEST(WlmctlFlagValidation, OutOfRangeMeshKnobsAreUsageErrors) {
         std::string("simulate --networks 2 ") + row.flag + " " + row.value;
     EXPECT_EQ(wlmctl_exit(cmd), 2) << "wlmctl " << cmd;
   }
+}
+
+/// Runs wlmctl and returns its exit code and stderr (stdout discarded).
+std::pair<int, std::string> wlmctl_stderr(const std::string& cmdline) {
+  const std::string full = std::string(WLMCTL_BIN) + " " + cmdline + " 2>&1 >/dev/null";
+  std::string err;
+  int code = -1;
+  if (std::FILE* pipe = popen(full.c_str(), "r")) {
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) err.append(buf, n);
+    const int status = pclose(pipe);
+    if (status != -1 && WIFEXITED(status)) code = WEXITSTATUS(status);
+  }
+  return {code, err};
+}
+
+TEST(WlmctlFlagValidation, UnknownAndRetiredFlagsAreUsageErrors) {
+  // Each command accepts only the flags it reads. A typo, a retired engine
+  // knob, or a flag of another command must exit 2 naming the flag — never
+  // run the default scenario as if the flag were not there.
+  struct Row {
+    const char* cmdline;
+    const char* flag;
+  };
+  const Row rows[] = {
+      {"simulate --netwroks 20", "--netwroks"},
+      {"simulate --networks 2 --per-mode table", "--per-mode"},
+      {"simulate --networks 2 --classifier indexed", "--classifier"},
+      {"report table3 --networks 2 --classifier indexed", "--classifier"},
+      {"report table3 --networks 2 --per-mode table", "--per-mode"},
+      {"export /tmp --networks 2 --per-mode reference", "--per-mode"},
+      {"report table3 --networks 2 --faults flap=1", "--faults"},
+      {"health --networks 2 --checkpoint-out /tmp/x.wlmckpt", "--checkpoint-out"},
+      {"stats --networks 2 --halt-after-phase mr16", "--halt-after-phase"},
+      {"export /tmp --networks 2 --mobility on", "--mobility"},
+      {"pcap /tmp/x.pcap --networks 2", "--networks"},
+      {"spectrum --jobs 2", "--jobs"},
+  };
+  for (const Row& row : rows) {
+    const auto [code, err] = wlmctl_stderr(row.cmdline);
+    EXPECT_EQ(code, 2) << "wlmctl " << row.cmdline;
+    EXPECT_NE(err.find(row.flag), std::string::npos)
+        << "wlmctl " << row.cmdline << " did not name " << row.flag << ": " << err;
+  }
+  // A flag with no value is a usage error too, not a positional argument.
+  EXPECT_EQ(wlmctl_exit("simulate --networks"), 2);
 }
 
 /// Runs wlmctl and returns its stdout (stderr discarded).

@@ -277,19 +277,19 @@ TEST_P(SeededProperty, VerdictCacheConservesAttribution) {
   // Conservation: every lookup is exactly one hit or one miss, evictions
   // never exceed insertions, live entries never exceed capacity, and the
   // bytes attributed per app through the cache equal the bytes attributed
-  // by the always-slow reference on the same event stream.
+  // by the reference engine (reparse + linear scan, no cache) on the same
+  // event stream.
   Rng rng(GetParam() * 41 + 13);
   std::vector<traffic::GeneratedFlow> storage;
   const auto events = random_fragment_workload(rng, storage);
 
-  classify::TwoTierClassifier cached(classify::ClassifierMode::kIndexed,
-                                     /*cache_capacity=*/8);
-  classify::TwoTierClassifier reference(classify::ClassifierMode::kReference);
+  classify::TwoTierClassifier cached(/*cache_capacity=*/8);
+  const auto& reference = classify::RuleSet::standard();
   std::map<classify::AppId, std::uint64_t> bytes_cached;
   std::map<classify::AppId, std::uint64_t> bytes_reference;
   for (const auto& ev : events) {
     bytes_cached[cached.classify(ev.key, *ev.sample)] += ev.bytes;
-    bytes_reference[reference.classify(ev.key, *ev.sample)] += ev.bytes;
+    bytes_reference[reference.classify(classify::extract_metadata(*ev.sample))] += ev.bytes;
   }
   EXPECT_EQ(bytes_cached, bytes_reference);
 
@@ -298,7 +298,6 @@ TEST_P(SeededProperty, VerdictCacheConservesAttribution) {
   EXPECT_EQ(stats.hits + cached.slow_path_calls(), events.size());
   EXPECT_LE(stats.evictions, stats.misses);
   EXPECT_LE(cached.cache().size(), cached.cache().capacity());
-  EXPECT_EQ(reference.cache().stats().hits, 0u);  // reference never caches
 }
 
 TEST_P(SeededProperty, VerdictCacheEvictionIsCapacityInvariant) {
@@ -313,7 +312,7 @@ TEST_P(SeededProperty, VerdictCacheEvictionIsCapacityInvariant) {
   std::uint64_t baseline_hits = 0;
   for (const std::size_t capacity : {std::size_t{1}, std::size_t{2}, std::size_t{7},
                                      std::size_t{64}, std::size_t{100'000}}) {
-    classify::TwoTierClassifier tier(classify::ClassifierMode::kIndexed, capacity);
+    classify::TwoTierClassifier tier(capacity);
     std::vector<classify::AppId> verdicts;
     verdicts.reserve(events.size());
     for (const auto& ev : events) verdicts.push_back(tier.classify(ev.key, *ev.sample));
@@ -321,7 +320,7 @@ TEST_P(SeededProperty, VerdictCacheEvictionIsCapacityInvariant) {
       baseline = verdicts;
       baseline_hits = tier.cache().stats().hits;
       // Replay determinism at the smallest capacity: same stream, same stats.
-      classify::TwoTierClassifier replay(classify::ClassifierMode::kIndexed, capacity);
+      classify::TwoTierClassifier replay(capacity);
       for (const auto& ev : events) (void)replay.classify(ev.key, *ev.sample);
       EXPECT_EQ(replay.cache().stats().hits, tier.cache().stats().hits);
       EXPECT_EQ(replay.cache().stats().evictions, tier.cache().stats().evictions);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 namespace wlm::sim {
 namespace {
 
@@ -65,6 +68,48 @@ TEST(MeshLink, MarginalLinkIsIntermediate) {
     if (r > 0.02 && r < 0.98) ++intermediate;
   }
   EXPECT_GT(intermediate, 30);
+}
+
+TEST(MeshLink, GuardedProbeMatchesScalarOracle) {
+  // probe_with decides most draws from the shared SINR->PER table and falls
+  // back to the scalar packet_error_rate() only inside the table's bracket.
+  // Its outcome must equal `u < p` bit for bit, where p is
+  // delivery_probability() taken just before the call: the scalar formula
+  // on the same pre-advance fading state. Budgets sweep the PER waterfall
+  // of both probe rates and run off both ends of the table grid; three of
+  // every four draws sit on or right next to p, where the bracket cannot
+  // decide and the fallback must.
+  Rng draws(0x9B0BE);
+  int probes = 0;
+  for (const auto band : {phy::Band::k2_4GHz, phy::Band::k5GHz}) {
+    for (double rx = -125.0; rx <= -35.0; rx += 0.25) {
+      MeshLink link = link_with_rx(rx, band, static_cast<std::uint64_t>(probes) + 1);
+      ProbeOutcomeModel model;
+      model.receiver_utilization = draws.uniform(0.0, 0.6);
+      model.hidden_fraction = ProbeOutcomeModel::default_hidden_fraction(band);
+      for (int i = 0; i < 24; ++i, ++probes) {
+        const double p = link.delivery_probability(model);
+        double u = draws.uniform();
+        switch (i % 4) {
+          case 1:
+            u = std::clamp(p + (u - 0.5) * 1e-3, 0.0, 1.0);
+            break;
+          case 2:
+            u = p;
+            break;
+          case 3:
+            u = std::nextafter(p, i % 8 == 3 ? 0.0 : 1.0);
+            break;
+          default:
+            break;
+        }
+        ASSERT_EQ(link.probe_with(model, u), u < p)
+            << "band=" << static_cast<int>(band) << " rx=" << rx << " probe=" << i
+            << " p=" << p << " u=" << u;
+      }
+    }
+  }
+  EXPECT_GT(probes, 17'000);
 }
 
 TEST(MeshLink, HiddenFractionDefaultsByBand) {

@@ -9,6 +9,10 @@
 //   wlmctl stats    [--faults SPEC] [--metrics-out F] [--trace-out F]
 //                                                run a campaign, dump telemetry
 //   wlmctl spectrum [--seed S]                   render the Figure 11 scenes
+//   wlmctl export   <dir>                        write CSV data series
+//
+// Each command accepts only the flags it reads (see usage()); any other
+// flag exits 2.
 #include <algorithm>
 #include <cerrno>
 #include <climits>
@@ -18,7 +22,10 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "analysis/experiments.hpp"
 #include "analysis/export.hpp"
@@ -74,15 +81,72 @@ struct Args {
   }
 };
 
-Args parse_args(int argc, char** argv, int first) {
+// The flags each command reads, grouped by the helpers that read them (the
+// usage text uses the same groups). parse_args rejects every other flag, so
+// a typo such as `--netwroks 20` is a usage error, not a silent default run.
+/// resolve_networks, validate_scale and apply_mem_ceiling.
+constexpr std::string_view kStudyFlags[] = {"networks", "scale",          "seed",
+                                            "jobs",     "mem-ceiling-mb", "spill-dir"};
+/// apply_mobility.
+constexpr std::string_view kMobilityFlags[] = {"mobility", "roam-prob", "mobility-speed",
+                                               "mobility-steps"};
+/// apply_mesh.
+constexpr std::string_view kMeshFlags[] = {"mesh-fraction", "mesh-max-hops", "mesh-floor-dbm",
+                                           "mesh-drift-db"};
+/// The rest of world_config, plus arm_failpoints.
+constexpr std::string_view kCampaignFlags[] = {"flap", "faults", "failpoints",
+                                               "max-shard-retries", "shard-deadline"};
+/// Read by one command only.
+constexpr std::string_view kSimulateFlags[] = {"checkpoint-out", "checkpoint-every",
+                                               "resume-from", "halt-after-phase",
+                                               "metrics-out"};
+constexpr std::string_view kStatsFlags[] = {"metrics-out", "trace-out"};
+constexpr std::string_view kPcapFlags[] = {"flows", "seed"};
+constexpr std::string_view kSpectrumFlags[] = {"seed"};
+
+/// Every flag `command` accepts; empty for an unknown command.
+std::vector<std::string_view> command_flags(std::string_view command) {
+  std::vector<std::string_view> flags;
+  const auto add = [&](std::span<const std::string_view> group) {
+    flags.insert(flags.end(), group.begin(), group.end());
+  };
+  const bool campaign = command == "simulate" || command == "health" || command == "stats";
+  if (campaign || command == "report" || command == "export") add(kStudyFlags);
+  if (campaign || command == "report") {
+    add(kMobilityFlags);
+    add(kMeshFlags);
+  }
+  if (campaign) add(kCampaignFlags);
+  if (command == "simulate") add(kSimulateFlags);
+  if (command == "stats") add(kStatsFlags);
+  if (command == "pcap") add(kPcapFlags);
+  if (command == "spectrum") add(kSpectrumFlags);
+  return flags;
+}
+
+/// Splits the arguments after the command (argv[1]) into `--name value`
+/// options and positionals. Returns nullopt (with a diagnostic naming the
+/// flag) on a flag outside `flags` or a flag missing its value.
+std::optional<Args> parse_args(int argc, char** argv, std::span<const std::string_view> flags) {
+  const char* command = argv[1];
   Args args;
-  for (int i = first; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     const std::string token = argv[i];
-    if (token.rfind("--", 0) == 0 && i + 1 < argc) {
-      args.options[token.substr(2)] = argv[++i];
-    } else {
+    if (token.rfind("--", 0) != 0) {
       args.positional.push_back(token);
+      continue;
     }
+    const std::string name = token.substr(2);
+    if (std::find(flags.begin(), flags.end(), name) == flags.end()) {
+      std::fprintf(stderr, "wlmctl %s: unknown flag %s (run wlmctl with no arguments for usage)\n",
+                   command, token.c_str());
+      return std::nullopt;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "wlmctl %s: %s expects a value\n", command, token.c_str());
+      return std::nullopt;
+    }
+    args.options[name] = argv[++i];
   }
   return args;
 }
@@ -290,24 +354,6 @@ std::optional<sim::WorldConfig> world_config(const Args& args,
   }
   // --flap F is shorthand for --faults flap=F; a nonzero flap in --faults wins.
   if (config.faults.flap_fraction == 0.0) config.faults.flap_fraction = flap;
-  if (const auto it = args.options.find("classifier"); it != args.options.end()) {
-    const auto mode = classify::classifier_mode_from_name(it->second);
-    if (!mode) {
-      std::fprintf(stderr, "wlmctl: --classifier expects reference|indexed, got '%s'\n",
-                   it->second.c_str());
-      return std::nullopt;
-    }
-    config.classifier = *mode;
-  }
-  if (const auto it = args.options.find("per-mode"); it != args.options.end()) {
-    const auto mode = phy::per_mode_from_name(it->second);
-    if (!mode) {
-      std::fprintf(stderr, "wlmctl: --per-mode expects reference|table, got '%s'\n",
-                   it->second.c_str());
-      return std::nullopt;
-    }
-    config.per_mode = *mode;
-  }
   const int retries = args.get_int("max-shard-retries", config.supervision.max_shard_retries);
   if (args.bad) return std::nullopt;
   if (retries < 0) {
@@ -334,21 +380,6 @@ std::optional<sim::WorldConfig> world_config(const Args& args,
   if (!apply_mobility(args, config.mobility)) return std::nullopt;
   if (!apply_mesh(args, config.mesh)) return std::nullopt;
   return config;
-}
-
-/// Applies the shared --per-mode option to an experiment scale; returns
-/// false (with a diagnostic) on an unknown mode name.
-bool apply_per_mode(const Args& args, analysis::ScenarioScale& scale) {
-  const auto it = args.options.find("per-mode");
-  if (it == args.options.end()) return true;
-  const auto mode = phy::per_mode_from_name(it->second);
-  if (!mode) {
-    std::fprintf(stderr, "wlmctl: --per-mode expects reference|table, got '%s'\n",
-                 it->second.c_str());
-    return false;
-  }
-  scale.per_mode = *mode;
-  return true;
 }
 
 /// Writes `text` to `path`; returns false (with a diagnostic) on failure.
@@ -520,7 +551,6 @@ int cmd_report(const Args& args) {
   scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 2015));
   scale.threads = args.get_int("jobs", 1);
   if (!validate_scale(args, scale.networks, scale.threads)) return 2;
-  if (!apply_per_mode(args, scale)) return 2;
   if (!apply_mem_ceiling(args, scale.mem_ceiling_mb, scale.spill_dir)) return 2;
   if (!apply_mobility(args, scale.mobility)) return 2;
   if (!apply_mesh(args, scale.mesh)) return 2;
@@ -765,7 +795,6 @@ int cmd_export(const Args& args) {
   scale.seed = static_cast<std::uint64_t>(args.get_int("seed", 2015));
   scale.threads = args.get_int("jobs", 1);
   if (!validate_scale(args, scale.networks, scale.threads)) return 2;
-  if (!apply_per_mode(args, scale)) return 2;
   if (!apply_mem_ceiling(args, scale.mem_ceiling_mb, scale.spill_dir)) return 2;
   const std::string& dir = args.positional[0];
 
@@ -807,39 +836,37 @@ int cmd_spectrum(const Args& args) {
 int usage() {
   std::fprintf(stderr,
                "usage: wlmctl <command> [options]\n"
-               "  simulate  [--networks N] [--scale paper] [--seed S] [--flap F]\n"
-               "            [--faults SPEC] [--jobs N]\n"
-               "            [--classifier reference|indexed] [--per-mode reference|table]\n"
-               "            [--mem-ceiling-mb MB] [--spill-dir DIR]\n"
-               "            [--checkpoint-out FILE] [--checkpoint-every SIM_HOURS]\n"
+               "  simulate  [CAMPAIGN] [--checkpoint-out FILE] [--checkpoint-every SIM_HOURS]\n"
                "            [--resume-from FILE] [--halt-after-phase PHASE]\n"
-               "            [--failpoints SPEC] [--max-shard-retries N]\n"
-               "            [--shard-deadline SIM_HOURS] [--metrics-out FILE]\n"
-               "            [--mobility on|off] [--roam-prob P] [--mobility-speed M]\n"
-               "            [--mobility-steps N]\n"
-               "            [--mesh-fraction F] [--mesh-max-hops N] [--mesh-floor-dbm D]\n"
-               "            [--mesh-drift-db D]\n"
+               "            [--metrics-out FILE]\n"
                "            phases: usage_week, mr16, link_windows, harvest. A resume\n"
                "            replays only unfinished phases; its output is byte-identical\n"
                "            to an uninterrupted run at any --jobs\n"
                "  report    <table2..table7|fig1..fig11|roamcdf|apvisits|sticky\n"
-               "             |meshdelivery|meshdelay>\n"
-               "            [--networks N] [--scale paper]\n"
-               "            [--seed S] [--jobs N] [--per-mode reference|table]\n"
-               "            [--mem-ceiling-mb MB] [--spill-dir DIR]\n"
-               "            [--roam-prob P] [--mobility-speed M] [--mobility-steps N]\n"
+               "             |meshdelivery|meshdelay> [STUDY] [MOBILITY] [MESH]\n"
                "            roamcdf/apvisits/sticky run a mobility-enabled usage week\n"
                "            meshdelivery/meshdelay run a mesh-enabled usage week and\n"
                "            render delivery ratio / relay delay vs hop count\n"
-               "  health    [--networks N] [--flap F] [--faults SPEC] [--jobs N]\n"
-               "  pcap      <path> [--flows N] [--seed S]\n"
-               "  export    <dir> [--networks N] [--scale paper] [--seed S] [--jobs N]\n"
-               "            [--mem-ceiling-mb MB] [--spill-dir DIR]  write CSV data series\n"
-               "  stats     [--networks N] [--seed S] [--faults SPEC] [--jobs N]\n"
-               "            [--metrics-out FILE] [--trace-out FILE]\n"
+               "  health    [CAMPAIGN]  run a faulted week (a mixed-fault default when\n"
+               "            --faults names none) and triage it\n"
+               "  stats     [CAMPAIGN] [--metrics-out FILE] [--trace-out FILE]\n"
                "            run a week campaign, print the Prometheus-style metrics\n"
                "            snapshot, and verify it reconciles with the loss ledger\n"
+               "  export    <dir> [STUDY]  write CSV data series\n"
+               "  pcap      <path> [--flows N] [--seed S]\n"
                "  spectrum  [--seed S]\n"
+               "\n"
+               "option groups:\n"
+               "  STUDY     [--networks N] [--scale paper] [--seed S] [--jobs N]\n"
+               "            [--mem-ceiling-mb MB] [--spill-dir DIR]\n"
+               "  MOBILITY  [--mobility on|off] [--roam-prob P] [--mobility-speed M]\n"
+               "            [--mobility-steps N]\n"
+               "  MESH      [--mesh-fraction F] [--mesh-max-hops N] [--mesh-floor-dbm D]\n"
+               "            [--mesh-drift-db D]\n"
+               "  CAMPAIGN  STUDY, MOBILITY and MESH, plus [--flap F] [--faults SPEC]\n"
+               "            [--failpoints SPEC] [--max-shard-retries N]\n"
+               "            [--shard-deadline SIM_HOURS]\n"
+               "A command rejects any flag it does not list (exit 2).\n"
                "\n"
                "--scale paper presets --networks to the paper's audited full fleet\n"
                "(20,667 networks, Table 2); an explicit --networks overrides it.\n"
@@ -880,7 +907,11 @@ int usage() {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const Args args = parse_args(argc, argv, 2);
+  const auto flags = command_flags(command);
+  if (flags.empty()) return usage();  // every command reads at least --seed
+  const auto parsed = parse_args(argc, argv, flags);
+  if (!parsed) return 2;
+  const Args& args = *parsed;
   if (command == "simulate") return cmd_simulate(args);
   if (command == "report") return cmd_report(args);
   if (command == "health") return cmd_health(args);
