@@ -1,9 +1,7 @@
 #include "sim/fleet_runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <thread>
 #include <utility>
 
 // Deliberate layering exception (see src/sim/CMakeLists.txt): the
@@ -11,6 +9,7 @@
 // serializers here keeps failsafe itself sim-independent.
 #include "ckpt/container.hpp"
 #include "ckpt/state.hpp"
+#include "sim/parallel_for.hpp"
 
 namespace wlm::sim {
 
@@ -34,7 +33,7 @@ FleetRunner::FleetRunner(WorldConfig config)
   // Shard construction is independent per network (each shard's RNG is a
   // substream of the base seed), so it parallelizes like the campaigns do.
   shards_.resize(fleet_.networks.size());
-  parallel_for(fleet_.networks.size(), [&](std::size_t i) {
+  parallel_for(fleet_.networks.size(), config_.threads, [&](std::size_t i) {
     shards_[i] = std::make_unique<NetworkShard>(fleet_.networks[i], config_);
   });
 
@@ -82,38 +81,12 @@ void FleetRunner::record_phase(const char* phase, double seconds) {
   telemetry::global_profiler().record(phase, seconds);
 }
 
-void FleetRunner::parallel_for(std::size_t count,
-                               const std::function<void(std::size_t)>& fn) {
-  const auto n_workers = static_cast<std::size_t>(std::max(1, config_.threads));
-  if (n_workers <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      fn(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  const std::size_t n = std::min(n_workers, count);
-  pool.reserve(n);
-  for (std::size_t t = 0; t < n; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-}
-
-void FleetRunner::for_each_shard(const std::function<void(NetworkShard&)>& fn) {
-  parallel_for(shards_.size(), [&](std::size_t i) { fn(*shards_[i]); });
-}
-
 void FleetRunner::run_supervised(const char* phase,
                                  const std::function<void(NetworkShard&)>& fn) {
   supervisor_.run_phase(
       phase, sim_now_us(), [&](std::size_t i) { fn(*shards_[i]); },
       [&](const std::function<void(std::size_t)>& body) {
-        parallel_for(shards_.size(), body);
+        parallel_for(shards_.size(), config_.threads, body);
       });
 }
 
@@ -128,27 +101,37 @@ backend::ReportStore& FleetRunner::store() {
   return store_;
 }
 
-void FleetRunner::seal_shard(std::size_t i) {
-  backend::ReportStore& local = shards_[i]->store();
-  if (local.report_count() == 0) return;
-  fleet_tsdb_.append_store(shards_[i]->id().value(), std::move(local));
-  store_stale_ = true;
+void FleetRunner::seal_shards(const std::vector<std::uint8_t>& merge) {
+  // Batch seqs are read before the fan-out and the sealed batches appended
+  // after it, serially in fleet order; the seal itself is a pure function
+  // of one shard's canonical store, so where it runs cannot change a byte.
+  std::vector<tsdb::SealedBatch> sealed(shards_.size());
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (merge[i] != 0) sealed[i].batch_seq = fleet_tsdb_.next_batch_seq(shards_[i]->id().value());
+  }
+  parallel_for(shards_.size(), config_.threads, [&](std::size_t i) {
+    if (merge[i] == 0) return;
+    sealed[i] = tsdb::FleetStore::seal(shards_[i]->id().value(), sealed[i].batch_seq,
+                                       std::move(shards_[i]->store()));
+  });
+  for (tsdb::SealedBatch& batch : sealed) {
+    if (batch.n_reports == 0) continue;
+    fleet_tsdb_.append_sealed(std::move(batch));
+    store_stale_ = true;
+  }
 }
 
 void FleetRunner::incremental_harvest() {
   const telemetry::Stopwatch watch;
   const std::int64_t now_us = sim_now_us();
   // Drains are shard-confined (poller + tunnels + local store), so they fan
-  // out like campaigns; sealing then runs serially in fleet order, so the
-  // vault's segment sequence is independent of worker scheduling.
-  parallel_for(shards_.size(), [&](std::size_t i) {
-    if (supervisor_.quarantined(i)) return;
-    shards_[i]->drain_connected(now_us);
+  // out like campaigns, and so do the seals.
+  std::vector<std::uint8_t> merge(shards_.size());
+  for (std::size_t i = 0; i < shards_.size(); ++i) merge[i] = supervisor_.quarantined(i) ? 0 : 1;
+  parallel_for(shards_.size(), config_.threads, [&](std::size_t i) {
+    if (merge[i] != 0) shards_[i]->drain_connected(now_us);
   });
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (supervisor_.quarantined(i)) continue;
-    seal_shard(i);
-  }
+  seal_shards(merge);
   if (const tsdb::Error err = fleet_tsdb_.maybe_spill()) {
     // An unwritable spill dir is an I/O problem, not a simulation problem:
     // segments stay resident (correct, just over budget) and the operator
@@ -204,8 +187,9 @@ void FleetRunner::run_link_windows(SimTime t) {
 
 void FleetRunner::harvest(HarvestMode mode) {
   // Drain in parallel (each poller touches only its shard's tunnels and
-  // store), then merge serially in fleet order: the global store's content
-  // is then independent of worker scheduling.
+  // store), guard each merge serially in fleet order, seal in parallel and
+  // append serially in fleet order: the vault's content is then
+  // independent of worker scheduling.
   const telemetry::Stopwatch drain_watch;
   run_supervised("harvest_drain",
                  [mode](NetworkShard& shard) { shard.harvest_local(mode); });
@@ -213,19 +197,20 @@ void FleetRunner::harvest(HarvestMode mode) {
 
   const telemetry::Stopwatch merge_watch;
   const std::int64_t now_us = sim_now_us();
+  std::vector<std::uint8_t> merge(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     // guard_merge is false for quarantined shards (their work is accounted
     // as lost_supervision, never merged) and for shards the harvest.merge
     // failpoint just quarantined. A quarantined shard may have sealed
     // batches earlier (streaming harvest runs before the failure): those
     // are dropped too, so no partial work reaches any analysis.
-    if (!supervisor_.guard_merge(i, now_us)) {
+    merge[i] = supervisor_.guard_merge(i, now_us) ? 1 : 0;
+    if (merge[i] == 0) {
       fleet_tsdb_.drop_network(shards_[i]->id().value());
       store_stale_ = true;
-      continue;
     }
-    seal_shard(i);
   }
+  seal_shards(merge);
   if (config_.mem_ceiling_mb > 0) {
     if (const tsdb::Error err = fleet_tsdb_.maybe_spill()) {
       std::fprintf(stderr, "wlm: tsdb spill failed (%s): %s\n",

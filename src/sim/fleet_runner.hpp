@@ -1,6 +1,7 @@
 // The fleet runtime: partitions a generated fleet into per-network shards,
-// fans campaigns out across a worker pool, and merges the shard-local report
-// stores into one backend store at harvest.
+// fans campaigns out across a worker pool (sim/parallel_for.hpp), and at
+// harvest seals each shard's report store into a columnar segment of the
+// fleet's tsdb vault.
 //
 // Determinism contract: for a fixed WorldConfig (minus `threads`), every
 // byte of simulated output is identical for any thread count, including 1.
@@ -9,8 +10,10 @@
 //      so no draw depends on cross-shard scheduling;
 //   2. every mutable object a campaign touches (APs, tunnels, poller, store)
 //      is confined to its shard, so workers never contend;
-//   3. harvest merges shard stores in fleet order, so the global store's
-//      contents are independent of which worker ran which shard.
+//   3. harvest seals shard stores in the workers (a segment's bytes are a
+//      pure function of one shard's canonical store) and appends them to
+//      the vault in fleet order, so the vault's contents are independent of
+//      which worker ran which shard.
 #pragma once
 
 #include <cstdint>
@@ -105,7 +108,8 @@ class FleetRunner {
   void run_link_windows(SimTime t);
 
   /// Drains each shard's tunnels into its local store in parallel, then
-  /// merges the shard stores into the global store in fleet order. kFinal
+  /// seals the shard stores into tsdb segments in parallel and appends
+  /// them to the vault in fleet order. kFinal
   /// reconnects every tunnel first (queued reports must survive a WAN
   /// outage, per the paper's §2 design); kWeekEnd leaves APs inside a
   /// still-open outage offline, their backlog in flight.
@@ -181,10 +185,6 @@ class FleetRunner {
   failsafe::ShardSupervisor supervisor_;
   double campaign_sim_hours_ = 0.0;
 
-  /// Runs `fn(i)` for every i in [0, count) on the worker pool (serial when
-  /// threads <= 1). `fn` must confine itself to shard i's state.
-  void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
-  void for_each_shard(const std::function<void(NetworkShard&)>& fn);
   /// Campaign-phase dispatch under supervision: fans `fn` out across the
   /// worker pool with per-shard exception isolation, then lets the
   /// supervisor restore/retry/quarantine failed shards in fleet order.
@@ -196,13 +196,14 @@ class FleetRunner {
   void run_campaign(const char* phase, double sim_hours,
                     const std::function<void(NetworkShard&)>& fn);
   /// Streaming harvest (mem_ceiling_mb > 0): drains connected tunnels in
-  /// parallel, seals each shard's batch into the segment vault in fleet
-  /// order, releases the shard row stores, and spills if the ceiling
+  /// parallel, seals each shard's batch on the worker pool, appends the
+  /// segments to the vault in fleet order, and spills if the ceiling
   /// presses. Runs at every campaign phase boundary, so checkpoint cuts see
   /// sealed segments.
   void incremental_harvest();
-  /// Seals one shard's local store into the vault (no-op when empty).
-  void seal_shard(std::size_t i);
+  /// Seals the local store of every shard with merge[i] != 0 in parallel
+  /// (releasing it), then appends the non-empty batches in fleet order.
+  void seal_shards(const std::vector<std::uint8_t>& merge);
   /// Sim-time stamp for supervision incidents/spans: the campaign clock at
   /// the current phase's start.
   [[nodiscard]] std::int64_t sim_now_us() const {

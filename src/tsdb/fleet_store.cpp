@@ -53,20 +53,40 @@ Error write_file_atomic(const std::string& path, std::span<const std::uint8_t> b
 }  // namespace
 
 void FleetStore::append_store(std::uint32_t network_id, backend::ReportStore&& store) {
-  if (store.report_count() == 0) return;
-  Network& net = networks_[network_id];
-  SegmentWriter writer(network_id, net.next_batch_seq);
+  append_sealed(seal(network_id, next_batch_seq(network_id), std::move(store)));
+}
+
+std::uint32_t FleetStore::next_batch_seq(std::uint32_t network_id) const {
+  const auto it = networks_.find(network_id);
+  return it == networks_.end() ? 0 : it->second.next_batch_seq;
+}
+
+SealedBatch FleetStore::seal(std::uint32_t network_id, std::uint32_t batch_seq,
+                             backend::ReportStore&& store) {
+  SealedBatch batch;
+  batch.network_id = network_id;
+  batch.batch_seq = batch_seq;
+  if (store.report_count() == 0) return batch;
+  SegmentWriter writer(network_id, batch_seq);
   store.for_each([&writer](const wire::ApReport& r) { writer.add(r); });
-  const std::vector<std::uint32_t> seg_aps = writer.ap_ids();
-  Segment seg;
-  seg.network_id = network_id;
-  seg.batch_seq = net.next_batch_seq;
-  seg.n_reports = writer.report_count();
-  stats_.raw_wire_bytes += writer.raw_wire_bytes();
-  seg.bytes = writer.seal();
-  seg.size = seg.bytes.size();
-  index_segment(std::move(seg), seg_aps);
   store = backend::ReportStore{};
+  batch.n_reports = writer.report_count();
+  batch.raw_wire_bytes = writer.raw_wire_bytes();
+  batch.ap_ids = writer.ap_ids();
+  batch.bytes = writer.seal();
+  return batch;
+}
+
+void FleetStore::append_sealed(SealedBatch&& batch) {
+  if (batch.n_reports == 0) return;
+  Segment seg;
+  seg.network_id = batch.network_id;
+  seg.batch_seq = batch.batch_seq;
+  seg.n_reports = batch.n_reports;
+  seg.size = batch.bytes.size();
+  seg.bytes = std::move(batch.bytes);
+  stats_.raw_wire_bytes += batch.raw_wire_bytes;
+  index_segment(std::move(seg), batch.ap_ids);
 }
 
 Error FleetStore::adopt_segment(std::vector<std::uint8_t> bytes) {

@@ -17,8 +17,11 @@
 // Spill decisions key on deterministic byte accounting, never getrusage,
 // so spilling changes where bytes live but not any analysis output.
 //
-// Not thread-safe: only the orchestrating thread touches it, matching the
-// fleet-order merge discipline in FleetRunner::harvest.
+// Threading: sealing is a pure function of one shard's batch (the static
+// FleetStore::seal), so FleetRunner runs it on the worker pool. Everything
+// else, the index append included, mutates the vault and is not
+// thread-safe: only the orchestrating thread calls it, in fleet order, so
+// the vault's segment sequence is independent of worker scheduling.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +56,16 @@ struct FleetStoreStats {
   }
 };
 
+/// One shard batch sealed into segment bytes, not yet indexed by a vault.
+struct SealedBatch {
+  std::uint32_t network_id = 0;
+  std::uint32_t batch_seq = 0;
+  std::uint64_t n_reports = 0;  // 0: the batch was empty, no bytes sealed
+  std::uint64_t raw_wire_bytes = 0;
+  std::vector<std::uint32_t> ap_ids;  // distinct, ascending
+  std::vector<std::uint8_t> bytes;
+};
+
 class FleetStore final : public backend::ReportSource {
  public:
   /// Ceiling for resident sealed bytes, in bytes; 0 disables spilling.
@@ -63,9 +76,23 @@ class FleetStore final : public backend::ReportSource {
   [[nodiscard]] std::uint64_t mem_ceiling() const { return mem_ceiling_bytes_; }
 
   /// Seals `store`'s reports (canonical order) into one segment for
-  /// `network_id` and consumes the store. Batch sequence numbers increment
-  /// per network in call order. Empty stores seal nothing.
+  /// `network_id` and consumes the store: seal() then append_sealed().
+  /// Batch sequence numbers increment per network in call order. Empty
+  /// stores seal nothing.
   void append_store(std::uint32_t network_id, backend::ReportStore&& store);
+
+  /// Sequence number the next batch of `network_id` seals under.
+  [[nodiscard]] std::uint32_t next_batch_seq(std::uint32_t network_id) const;
+
+  /// Seals `store` into segment bytes and consumes it. Pure: touches no
+  /// vault, so concurrent calls on different stores are safe. The bytes
+  /// depend only on the arguments and the store's canonical contents.
+  [[nodiscard]] static SealedBatch seal(std::uint32_t network_id, std::uint32_t batch_seq,
+                                        backend::ReportStore&& store);
+
+  /// Indexes a sealed batch; its batch_seq must be the network's
+  /// next_batch_seq(). Empty batches append nothing.
+  void append_sealed(SealedBatch&& batch);
 
   /// Restore path: validates a sealed segment and adopts it. The batch
   /// counter advances past the segment's own sequence number.

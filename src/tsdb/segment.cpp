@@ -1,7 +1,6 @@
 #include "tsdb/segment.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -9,7 +8,7 @@
 #include <stdexcept>
 
 #include "core/checksum.hpp"
-#include "wire/encoder.hpp"
+#include "tsdb/column_encoder.hpp"
 #include "wire/varint.hpp"
 
 namespace wlm::tsdb {
@@ -26,9 +25,6 @@ constexpr std::uint64_t kMaxRawExpansion = std::uint64_t{1} << 16;
 /// link/client rows). The fleet tops out around thousands per report; 16M
 /// is far past legitimate and small enough that per-group sums stay sane.
 constexpr std::uint64_t kMaxChildRowsPerReport = std::uint64_t{1} << 24;
-/// RSSI columns switch from dictionary to raw fixed64 past this many
-/// distinct values (a dictionary larger than the rows it indexes inflates).
-constexpr std::size_t kMaxF64Dict = 4096;
 
 void put_u32le(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -42,51 +38,11 @@ std::uint32_t read_u32le(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-std::uint64_t f64_bits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-
 double bits_f64(std::uint64_t bits) {
   double v = 0.0;
   std::memcpy(&v, &bits, sizeof v);
   return v;
 }
-
-/// Bits needed to address a dictionary of n entries; 0 for a constant
-/// column (one entry), where the index stream vanishes entirely.
-unsigned index_bits(std::size_t n) {
-  return n <= 1 ? 0 : static_cast<unsigned>(std::bit_width(n - 1));
-}
-
-/// Packs fixed-width indices LSB-first. Fixed width beats varints for
-/// dictionary indices: a 640-entry dictionary addresses in 10 bits where
-/// varints spend 8 or 16.
-void pack_indices(std::vector<std::uint8_t>& out, const std::vector<std::uint64_t>& idx,
-                  unsigned width) {
-  std::uint64_t acc = 0;
-  unsigned nbits = 0;
-  for (const std::uint64_t v : idx) {
-    acc |= v << nbits;
-    nbits += width;
-    while (nbits >= 8) {
-      out.push_back(static_cast<std::uint8_t>(acc));
-      acc >>= 8;
-      nbits -= 8;
-    }
-  }
-  if (nbits > 0) out.push_back(static_cast<std::uint8_t>(acc));
-}
-
-/// One finished block, framed and ready to append.
-struct Block {
-  ColumnId id;
-  Encoding encoding;
-  std::uint64_t rows;
-  std::int64_t min = 0, max = 0;
-  std::vector<std::uint8_t> payload;
-};
 
 void append_block(std::vector<std::uint8_t>& out, const Block& b) {
   out.push_back(static_cast<std::uint8_t>(b.id));
@@ -99,118 +55,12 @@ void append_block(std::vector<std::uint8_t>& out, const Block& b) {
   put_u32le(out, crc32(b.payload));
 }
 
-Block varint_block(ColumnId id, const std::vector<std::uint64_t>& col) {
-  Block b{id, Encoding::kVarint, col.size()};
-  bool first = true;
-  for (const std::uint64_t v : col) {
-    // Summaries use the reader's view of the value (i64 cast) so the
-    // round-trip check compares like with like.
-    const auto s = static_cast<std::int64_t>(v);
-    b.min = first ? s : std::min(b.min, s);
-    b.max = first ? s : std::max(b.max, s);
-    first = false;
-    wire::put_varint(b.payload, v);
-  }
-  return b;
-}
-
-Block dict_varint_block(ColumnId id, const std::vector<std::uint64_t>& col) {
-  Block b{id, Encoding::kDictVarint, col.size()};
-  std::vector<std::uint64_t> dict = col;
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  wire::put_varint(b.payload, dict.size());
-  std::uint64_t prev = 0;
-  for (const std::uint64_t d : dict) {
-    wire::put_varint(b.payload, wire::zigzag_encode(static_cast<std::int64_t>(d - prev)));
-    prev = d;
-  }
-  std::vector<std::uint64_t> indices;
-  indices.reserve(col.size());
-  for (const std::uint64_t v : col) {
-    const auto it = std::lower_bound(dict.begin(), dict.end(), v);
-    indices.push_back(static_cast<std::uint64_t>(it - dict.begin()));
-  }
-  pack_indices(b.payload, indices, index_bits(dict.size()));
-  bool first = true;
-  for (const std::uint64_t v : col) {
-    const auto s = static_cast<std::int64_t>(v);
-    b.min = first ? s : std::min(b.min, s);
-    b.max = first ? s : std::max(b.max, s);
-    first = false;
-  }
-  return b;
-}
-
-/// Telemetry counters repeat heavily within one network (a few hundred
-/// distinct byte counts across thousands of usage rows), so a sorted-dict
-/// encoding often beats plain varints. Pick per column by measuring; ties
-/// go to the plain encoding.
-Block best_u64_block(ColumnId id, const std::vector<std::uint64_t>& col) {
-  Block plain = varint_block(id, col);
-  Block dict = dict_varint_block(id, col);
-  return dict.payload.size() < plain.payload.size() ? std::move(dict) : std::move(plain);
-}
-
-Block delta_block(ColumnId id, const std::vector<std::int64_t>& col) {
-  Block b{id, Encoding::kDeltaZigzag, col.size()};
-  std::int64_t prev = 0;
-  for (const std::int64_t v : col) {
-    wire::put_varint(b.payload, wire::zigzag_encode(v - prev));
-    prev = v;
-  }
-  if (!col.empty()) {
-    b.min = *std::min_element(col.begin(), col.end());
-    b.max = *std::max_element(col.begin(), col.end());
-  }
-  return b;
-}
-
-Block f64_block(ColumnId id, const std::vector<double>& col) {
-  // Dictionary when the value set is small (RSSI streams repeat heavily);
-  // raw fixed64 otherwise. The choice depends only on the data, so sealed
-  // bytes stay identical across --jobs.
-  std::vector<std::uint64_t> bits;
-  bits.reserve(col.size());
-  for (const double v : col) bits.push_back(f64_bits(v));
-  std::vector<std::uint64_t> dict = bits;
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  if (!col.empty() && dict.size() <= kMaxF64Dict) {
-    Block b{id, Encoding::kDictF64, col.size()};
-    wire::put_varint(b.payload, dict.size());
-    // Sorted bit patterns of same-sign doubles share their high bits, so
-    // delta coding the sorted dictionary beats raw fixed64 entries.
-    std::uint64_t prev = 0;
-    for (const std::uint64_t d : dict) {
-      wire::put_varint(b.payload, wire::zigzag_encode(static_cast<std::int64_t>(d - prev)));
-      prev = d;
-    }
-    std::vector<std::uint64_t> indices;
-    indices.reserve(bits.size());
-    for (const std::uint64_t v : bits) {
-      const auto it = std::lower_bound(dict.begin(), dict.end(), v);
-      indices.push_back(static_cast<std::uint64_t>(it - dict.begin()));
-    }
-    pack_indices(b.payload, indices, index_bits(dict.size()));
-    return b;
-  }
-  Block b{id, Encoding::kFixed64, col.size()};
-  for (const std::uint64_t v : bits) {
-    for (int i = 0; i < 8; ++i) b.payload.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  return b;
-}
-
 }  // namespace
 
 void SegmentWriter::add(const wire::ApReport& report) {
   // Raw-wire baseline for the compression ratio: what this report costs in
-  // the row-oriented tunnel encoding. Thread-local scratch, same pattern as
-  // backend::frame_report.
-  thread_local wire::Encoder encoder;
-  wire::encode_report_into(report, encoder);
-  raw_wire_bytes_ += encoder.size();
+  // the row-oriented tunnel encoding.
+  raw_wire_bytes_ += wire::encoded_report_size(report);
 
   if (distinct_aps_.empty() || distinct_aps_.back() != report.ap_id) {
     distinct_aps_.push_back(report.ap_id);
@@ -269,20 +119,8 @@ std::vector<std::uint8_t> SegmentWriter::seal() {
   // repeated values on this wire (7-8 varint bytes each, repeated per row);
   // sorted + delta coded they compress to a few bytes per distinct device,
   // and every reference becomes a small index.
-  std::vector<std::uint64_t> dict;
-  dict.reserve(usage_client_.size() + nbr_bssid_.size() + client_mac_.size());
-  dict.insert(dict.end(), usage_client_.begin(), usage_client_.end());
-  dict.insert(dict.end(), nbr_bssid_.begin(), nbr_bssid_.end());
-  dict.insert(dict.end(), client_mac_.begin(), client_mac_.end());
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  const auto index_of = [&dict](std::uint64_t mac) {
-    return static_cast<std::uint64_t>(
-        std::lower_bound(dict.begin(), dict.end(), mac) - dict.begin());
-  };
-  for (auto& v : usage_client_) v = index_of(v);
-  for (auto& v : nbr_bssid_) v = index_of(v);
-  for (auto& v : client_mac_) v = index_of(v);
+  const std::vector<std::uint64_t> dict =
+      index_macs({&usage_client_, &nbr_bssid_, &client_mac_});
   std::vector<std::int64_t> dict_signed(dict.begin(), dict.end());
 
   std::vector<std::int64_t> ap_signed(ap_ids_.begin(), ap_ids_.end());
@@ -329,8 +167,10 @@ std::vector<std::uint8_t> SegmentWriter::seal() {
     emit(best_u64_block(ColumnId::kMeshRelayUs, mesh_relay_us_));
   }
 
+  std::size_t sealed_bytes = 64;
+  for (const Block& b : blocks) sealed_bytes += b.payload.size() + 48;  // + worst-case framing
   std::vector<std::uint8_t> out;
-  out.reserve(64);
+  out.reserve(sealed_bytes);
   for (const std::uint8_t m : kMagic) out.push_back(m);
   put_u32le(out, kFormatVersion);
   put_u32le(out, network_id_);

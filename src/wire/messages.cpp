@@ -34,15 +34,6 @@ constexpr std::uint32_t kFMeshRelayUs = 10;
 // field loop on any deviation (old firmware, reordered or corrupt fields).
 // Both produce/accept byte-for-byte the same wire as the generic path.
 
-inline std::uint8_t* raw_varint(std::uint8_t* p, std::uint64_t v) {
-  while (v >= 0x80) {
-    *p++ = static_cast<std::uint8_t>(v) | 0x80;
-    v >>= 7;
-  }
-  *p++ = static_cast<std::uint8_t>(v);
-  return p;
-}
-
 // Single-byte tags our encoder writes (field <= 8 always fits one byte).
 constexpr std::uint8_t tag_byte(std::uint32_t field, WireType type) {
   return static_cast<std::uint8_t>(make_tag(field, type));
@@ -346,6 +337,40 @@ std::vector<std::uint8_t> encode_report(const ApReport& report) {
   Encoder e;
   encode_report_into(report, e);
   return std::move(e).take();
+}
+
+std::size_t encoded_report_size(const ApReport& report) {
+  // Mirrors encode_report_into field for field. Every tag on this wire is
+  // one byte (field numbers <= 10); a nested message costs its tag, its
+  // length varint and its body. Booleans are 0/1 varints, doubles fixed64.
+  const auto nested = [](std::size_t body) { return 1 + varint_size(body) + body; };
+  const auto sint = [](std::int64_t v) { return varint_size(zigzag_encode(v)); };
+  std::size_t n = 3 + varint_size(report.ap_id) + sint(report.timestamp_us) +
+                  varint_size(report.firmware);
+  for (const auto& u : report.usage) {
+    n += nested(4 + varint_size(u.client.to_u64()) + varint_size(u.app_id) +
+                varint_size(u.tx_bytes) + varint_size(u.rx_bytes));
+  }
+  for (const auto& c : report.utilization) {
+    n += nested(6 + varint_size(c.band) + sint(c.channel) + varint_size(c.cycle_us) +
+                varint_size(c.busy_us) + varint_size(c.rx_frame_us) + varint_size(c.tx_us));
+  }
+  for (const auto& nb : report.neighbors) {
+    n += nested(6 + varint_size(nb.bssid.to_u64()) + varint_size(nb.band) +
+                sint(nb.channel) + 8 + 1 + 1);
+  }
+  for (const auto& l : report.links) {
+    n += nested(5 + varint_size(l.from_ap) + varint_size(l.band) + sint(l.channel) +
+                varint_size(l.probes_expected) + varint_size(l.probes_received));
+  }
+  for (const auto& c : report.clients) {
+    n += nested(5 + varint_size(c.client.to_u64()) + varint_size(c.capability_bits) +
+                varint_size(c.band) + 8 + varint_size(c.os_id));
+  }
+  if (report.mesh_hops != 0) {
+    n += 2 + varint_size(report.mesh_hops) + varint_size(report.mesh_relay_us);
+  }
+  return n;
 }
 
 namespace {

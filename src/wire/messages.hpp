@@ -108,6 +108,10 @@ struct ApReport {
 /// are identical to encode_report's.
 void encode_report_into(const ApReport& report, Encoder& e);
 
+/// Byte length of encode_report(report), computed by walking the wire
+/// format without writing it.
+[[nodiscard]] std::size_t encoded_report_size(const ApReport& report);
+
 /// Parses wire bytes; nullopt on malformed input. Unknown fields are skipped.
 [[nodiscard]] std::optional<ApReport> decode_report(std::span<const std::uint8_t> data);
 

@@ -8,6 +8,7 @@
 // of an out-of-line function dominated the actual bit twiddling in profiles.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -30,6 +31,18 @@ inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
     v >>= 7;
   } while (v >= 0x80);
   out.push_back(static_cast<std::uint8_t>(v));
+}
+
+/// Raw-pointer varint write for specialized encoders: writes v at p, which
+/// has room for varint_size(v) bytes, and returns the advanced pointer.
+/// Same bytes as put_varint.
+inline std::uint8_t* raw_varint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
 }
 
 /// Raw-pointer varint parse for specialized message decoders: reads one
@@ -92,14 +105,9 @@ struct VarintResult {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-/// Number of bytes put_varint would write.
-[[nodiscard]] inline std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
+/// Number of bytes put_varint would write: one per started 7-bit group.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) {
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
 }  // namespace wlm::wire

@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ckpt/campaign.hpp"
@@ -214,6 +216,87 @@ TEST(SupervisorE2E, HarvestMergeFailureQuarantinesWithoutMerging) {
   EXPECT_TRUE(ledger.conserved()) << ledger.render();
   // Its delivered work was struck from `delivered` into lost_supervision.
   EXPECT_GT(ledger.lost_supervision, 0u);
+}
+
+/// One harvest.merge quarantine under a 1 MiB ceiling: streaming harvest
+/// seals (and spills) the victim's batches at every phase boundary before
+/// the final merge guard quarantines it.
+struct SpilledQuarantine {
+  DegradedRunManifest manifest;
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint64_t, std::uint64_t, bool>>
+      segments;  // FleetStore::SegmentInfo fields, vault order
+  std::size_t victim_segments_before_harvest = 0;
+  std::uint64_t segments_spilled = 0;
+  std::vector<std::uint8_t> checkpoint;
+};
+
+SpilledQuarantine run_spilled_quarantine(int jobs, std::uint64_t victim) {
+  sim::WorldConfig config = scenario(jobs, 1);
+  config.mem_ceiling_mb = 1;
+  config.spill_dir =
+      ::testing::TempDir() + "wlm_failsafe_merge_spill_j" + std::to_string(jobs);
+  std::filesystem::remove_all(config.spill_dir);
+  failpoints().disarm_all();
+  EXPECT_TRUE(failpoints().arm_list("site=harvest.merge,net=" + std::to_string(victim) +
+                                    ",action=error"));
+  SpilledQuarantine out;
+  {
+    sim::FleetRunner runner(config);
+    runner.run_usage_week();
+    runner.run_mr16_interference(SimTime::epoch() + Duration::hours(14));
+    runner.run_link_windows(SimTime::epoch() + Duration::hours(14));
+    const tsdb::FleetStore& vault = runner.fleet_tsdb();
+    const auto count_victim = [&] {
+      std::size_t n = 0;
+      for (std::size_t i = 0; i < vault.segment_count(); ++i) {
+        n += vault.info(i).network_id == victim ? 1 : 0;
+      }
+      return n;
+    };
+    out.victim_segments_before_harvest = count_victim();
+    runner.harvest(sim::HarvestMode::kFinal);
+    // The final batch of the quarantined network was never appended; the
+    // batches sealed before the failure were dropped (orphaned, empty).
+    EXPECT_EQ(count_victim(), out.victim_segments_before_harvest);
+    for (std::size_t i = 0; i < vault.segment_count(); ++i) {
+      const auto info = vault.info(i);
+      if (info.network_id == victim) {
+        EXPECT_EQ(info.n_reports, 0u);
+        EXPECT_EQ(info.size, 0u);
+      }
+      out.segments.emplace_back(info.network_id, info.batch_seq, info.n_reports, info.size,
+                                info.spilled);
+    }
+    out.manifest = runner.supervisor().manifest();
+    out.segments_spilled = vault.stats().segments_spilled;
+    failpoints().disarm_all();
+    ckpt::CampaignProgress progress;
+    progress.label = "merge-quarantine";
+    progress.phases_done = {"usage_week", "mr16", "link_windows", "harvest"};
+    out.checkpoint = ckpt::save_campaign(runner, progress);
+  }
+  std::filesystem::remove_all(config.spill_dir);
+  return out;
+}
+
+TEST(SupervisorE2E, HarvestMergeQuarantineUnderSpillIsJobsInvariant) {
+  ScopedDisarm guard;
+  const std::uint64_t victim = network_of_shard(3);
+  const SpilledQuarantine serial = run_spilled_quarantine(1, victim);
+  const SpilledQuarantine parallel = run_spilled_quarantine(8, victim);
+
+  ASSERT_EQ(serial.manifest.incidents.size(), 1u);
+  EXPECT_EQ(serial.manifest.incidents[0].phase, "harvest.merge");
+  EXPECT_EQ(serial.manifest.incidents[0].outcome, IncidentOutcome::kQuarantined);
+  // Streaming harvest sealed the victim before the failure, and segments
+  // spilled, so the drop and the spill bookkeeping are both exercised.
+  EXPECT_GT(serial.victim_segments_before_harvest, 0u);
+  EXPECT_GT(serial.segments_spilled, 0u);
+
+  EXPECT_EQ(parallel.manifest, serial.manifest);
+  EXPECT_EQ(parallel.segments, serial.segments);
+  EXPECT_EQ(parallel.victim_segments_before_harvest, serial.victim_segments_before_harvest);
+  EXPECT_EQ(parallel.checkpoint, serial.checkpoint);
 }
 
 TEST(SupervisorE2E, ManifestSurvivesCheckpointRoundtrip) {

@@ -311,7 +311,26 @@ EOF
     echo "fullscale smoke: spilled stdout differs from the unspilled run" >&2
     exit 1
   }
-  echo "fullscale smoke: spill occurred, spilled output byte-identical to resident"
+
+  # Sealed segments live in the checkpoint, and they are sealed on the
+  # worker pool: the spilled run's checkpoint must not depend on --jobs.
+  for jobs in 1 4; do
+    mkdir -p "${dir}/spill-j${jobs}"
+    ./build/tools/wlmctl simulate "${flags[@]:0:4}" --jobs "${jobs}" \
+      --mem-ceiling-mb 1 --spill-dir "${dir}/spill-j${jobs}" \
+      --checkpoint-out "${dir}/spilled-j${jobs}.ckpt" > "${dir}/spilled-j${jobs}.out" \
+      2> "${dir}/spilled-j${jobs}.err" || {
+      echo "fullscale smoke: checkpointed spilled run failed at --jobs ${jobs}" >&2
+      cat "${dir}/spilled-j${jobs}.err" >&2
+      exit 1
+    }
+  done
+  cmp "${dir}/spilled-j1.ckpt" "${dir}/spilled-j4.ckpt" || {
+    echo "fullscale smoke: spilled checkpoint differs between --jobs 1 and 4" >&2
+    exit 1
+  }
+  echo "fullscale smoke: spill occurred, spilled output byte-identical to resident," \
+    "checkpoint identical at --jobs 1 and 4"
 }
 fullscale_smoke
 
